@@ -14,10 +14,17 @@ import io
 import json
 import random
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import complexity, harness
-from .ordering import STRATEGIES, CostModel, GroundTruthOrder, OrderingError
+from .ordering import (
+    STRATEGIES,
+    CostModel,
+    GroundTruthOrder,
+    IncorrectOrderError,
+    OrderingError,
+)
 
 FORMATS = ("human", "csv", "json")
 
@@ -25,8 +32,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 
-# Fields too large for native JSON numbers are emitted as decimal strings.
-_STRING_IN_JSON = frozenset({"naive"})
+# Fields too large for native JSON numbers, emitted in csv and json as the
+# exact decimal digits in a string.  Formatting through Decimal avoids the
+# interpreter's int-to-str digit limit (4300 digits by default), which n!
+# passes at n = 1559.
+_EXACT_DIGITS = frozenset({"naive"})
 
 
 class _UsageError(Exception):
@@ -54,6 +64,13 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _exact_digits(row: dict) -> dict:
+    return {
+        key: format(Decimal(value), "f") if key in _EXACT_DIGITS else value
+        for key, value in row.items()
+    }
+
+
 def _render_csv(rows: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -64,13 +81,7 @@ def _render_csv(rows: list[dict]) -> str:
 
 
 def _render_json(rows: list[dict], single: bool) -> str:
-    def convert(row: dict) -> dict:
-        return {
-            key: str(value) if key in _STRING_IN_JSON and value is not None else value
-            for key, value in row.items()
-        }
-
-    payload = convert(rows[0]) if single else [convert(row) for row in rows]
+    payload = rows[0] if single else rows
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -84,13 +95,12 @@ def _human_pairs(row: dict) -> str:
 
 
 def _emit(rows: list[dict], fmt: str, single: bool = True) -> None:
-    if fmt == "csv":
-        sys.stdout.write(_render_csv(rows))
-    elif fmt == "json":
-        sys.stdout.write(_render_json(rows, single))
-    else:
+    if fmt == "human":
         for row in rows:
             sys.stdout.write(_human_pairs(row))
+        return
+    rows = [_exact_digits(row) for row in rows]
+    sys.stdout.write(_render_csv(rows) if fmt == "csv" else _render_json(rows, single))
 
 
 def _dashed(values) -> str:
@@ -322,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except IncorrectOrderError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (OrderingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

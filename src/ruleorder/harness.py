@@ -19,6 +19,7 @@ from .ordering import (
     CostModel,
     CountingOracle,
     GroundTruthOrder,
+    IncorrectOrderError,
     InvalidPermutationError,
     RuleId,
     SizeLimitError,
@@ -213,7 +214,10 @@ def adversarial_worst_case(
     """Measure the adversarial instance instead of enumerating."""
     ground_truth, presentation = adversarial_ground_truth(n, strategy)
     result = run_trial(n, strategy, ground_truth, presentation, model, source=MODE_ADVERSARIAL)
-    assert result.correct
+    if not result.correct:
+        raise IncorrectOrderError(
+            f"{strategy} learned a wrong order on the adversarial instance at n = {n}"
+        )
     return WorstCaseReport(
         strategy=strategy,
         n=n,

@@ -15,6 +15,7 @@ many queries they spend.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -24,6 +25,13 @@ RuleId = int
 STRATEGY_BLOCK = "block"
 STRATEGY_BINARY = "binary"
 STRATEGIES = (STRATEGY_BLOCK, STRATEGY_BINARY)
+
+# learn_order keeps the learned sequence in chunks of at most 2 * _CHUNK
+# rules and splits a chunk in half when it grows past that, so placing a
+# rule moves one chunk instead of the whole sequence.  Of 256 to 4096,
+# 768 to 2048 were fastest for n = 20,000 rules presented in reverse order,
+# and 1024 also for n = 300,000 shuffled (CPython 3.11, 2-vCPU x86-64).
+_CHUNK = 1024
 
 
 class OrderingError(Exception):
@@ -48,6 +56,14 @@ class InvalidPermutationError(OrderingError):
 
 class SizeLimitError(OrderingError):
     """An exhaustive search was requested above its factorial-cost cap."""
+
+
+class UnsortedSequenceError(OrderingError):
+    """A sequence passed in as sorted by hidden rank is not."""
+
+
+class IncorrectOrderError(OrderingError):
+    """A learner returned an order that differs from the hidden one."""
 
 
 class CostModel(enum.Enum):
@@ -134,13 +150,14 @@ class CountingOracle:
 
     def precedes(self, a: RuleId, b: RuleId) -> bool:
         """True iff rule ``a`` applies before rule ``b``. Costs one query."""
-        n = self.order.n
+        ranks = self.order.ranks
+        n = len(ranks)
         if a == b:
             raise InvalidQueryError(f"reflexive query for rule {a}")
         if not 0 <= a < n or not 0 <= b < n:
             raise InvalidQueryError(f"query ({a}, {b}) outside universe of {n} rules")
         self.query_count += 1
-        answer = self.order.ranks[a] < self.order.ranks[b]
+        answer = ranks[a] < ranks[b]
         if self.record:
             self.transcript.append((a, b, answer))
         return answer
@@ -150,27 +167,69 @@ class CountingOracle:
         self.transcript.clear()
 
 
-def _block_position(seq: list[RuleId], x: RuleId, oracle: CountingOracle) -> int:
-    """First position whose rule the newcomer precedes; end if none."""
-    for j, y in enumerate(seq):
-        if oracle.precedes(x, y):
-            return j
-    return len(seq)
+def _block_position(
+    chunks: list[list[RuleId]],
+    starts: list[int],
+    x: RuleId,
+    precedes: Callable[[RuleId, RuleId], bool],
+) -> tuple[int, int]:
+    """First position whose rule the newcomer precedes; end if none.
+
+    Returns (chunk index, offset in that chunk).
+    """
+    k = 0
+    for chunk in chunks:
+        j = 0
+        for y in chunk:
+            if precedes(x, y):
+                return k, j
+            j += 1
+        k += 1
+    return k - 1, j
 
 
-def _binary_position(seq: list[RuleId], x: RuleId, oracle: CountingOracle) -> int:
-    """Insertion point by halving the candidate window [lo, hi)."""
-    lo, hi = 0, len(seq)
+def _binary_position(
+    chunks: list[list[RuleId]],
+    starts: list[int],
+    x: RuleId,
+    precedes: Callable[[RuleId, RuleId], bool],
+) -> tuple[int, int]:
+    """Insertion point by halving the candidate window [lo, hi).
+
+    Midpoints are taken over global positions, so the probes are those of a
+    binary search over the concatenated chunks.  While the window spans
+    chunks klo..khi, each probe bisects ``starts`` for its chunk; once it
+    lies in one chunk the search finishes on that plain list.  Returns
+    (chunk index, offset in that chunk).
+    """
+    k = len(chunks) - 1
+    lo, hi = 0, starts[k] + len(chunks[k])
+    if k:
+        klo, khi = 0, k
+        while klo < khi:
+            mid = (lo + hi) // 2
+            k = bisect_right(starts, mid, klo, khi + 1) - 1
+            base = starts[k]
+            if precedes(x, chunks[k][mid - base]):
+                hi, khi = mid, k
+            else:
+                lo = mid + 1
+                klo = k if lo < base + len(chunks[k]) else k + 1
+        k = khi
+        base = starts[k]
+        lo -= base
+        hi -= base
+    chunk = chunks[k]
     while lo < hi:
         mid = (lo + hi) // 2
-        if oracle.precedes(x, seq[mid]):
+        if precedes(x, chunk[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return k, lo
 
 
-_POSITION_FINDERS: dict[str, Callable[[list[RuleId], RuleId, CountingOracle], int]] = {
+_POSITION_FINDERS: dict[str, Callable[..., tuple[int, int]]] = {
     STRATEGY_BLOCK: _block_position,
     STRATEGY_BINARY: _binary_position,
 }
@@ -195,9 +254,11 @@ def _checked_insert(seq, x, oracle, finder):
         raise InvalidQueryError(f"rule {x} outside universe of {oracle.order.n} rules")
     if x in seq:
         raise DuplicateRuleError(f"rule {x} already placed")
-    assert _is_sorted_by_rank(seq, oracle.order), "input sequence not sorted by rank"
+    if not _is_sorted_by_rank(seq, oracle.order):
+        raise UnsortedSequenceError("input sequence not sorted by rank")
     out = list(seq)
-    out.insert(finder(out, x, oracle), x)
+    _, j = finder([out], [0], x, oracle.precedes)
+    out.insert(j, x)
     return out
 
 
@@ -235,6 +296,13 @@ def learn_order(
     Rules are inserted in the order given (the presentation order).  Returns
     the learned sequence, sorted by hidden rank, and the run's step count
     under ``model``.
+
+    The sequence is built as a list of chunks of at most 2 * ``_CHUNK``
+    rules, with ``starts`` holding each chunk's first global position.
+    Placing a rule moves one chunk and bumps the later ``starts`` entries,
+    so a run costs O(n * (``_CHUNK`` + n / ``_CHUNK``)) in placement instead
+    of the O(n^2) of one flat list.  The queries, their order and the
+    oracle's transcript are those of a search over one flat list.
     """
     finder = _position_finder(strategy)
     rules = list(universe)
@@ -247,9 +315,24 @@ def learn_order(
         if not 0 <= x < n_domain:
             raise InvalidQueryError(f"rule {x} outside universe of {n_domain} rules")
 
+    precedes = oracle.precedes
     before = oracle.query_count
-    seq: list[RuleId] = []
+    half, limit = _CHUNK, 2 * _CHUNK
+    chunks: list[list[RuleId]] = [[]]
+    starts = [0]
+    last = 0
     for x in rules:
-        seq.insert(finder(seq, x, oracle), x)
+        k, j = finder(chunks, starts, x, precedes)
+        chunk = chunks[k]
+        chunk.insert(j, x)
+        if k < last:
+            for i in range(k + 1, last + 1):
+                starts[i] += 1
+        if len(chunk) > limit:
+            chunks.insert(k + 1, chunk[half:])
+            starts.insert(k + 1, starts[k] + half)
+            del chunk[half:]
+            last += 1
     queries = oracle.query_count - before
+    seq = chunks[0] if not last else [rule for chunk in chunks for rule in chunk]
     return seq, model.steps(queries, len(rules))

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
+from ruleorder import harness, scientific
 from ruleorder.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +93,24 @@ class TestPredict:
     def test_csv_json_round_trip(self, capsys):
         assert_csv_json_agree(capsys, "predict", "--n", "27")
         assert_csv_json_agree(capsys, "predict", "--n", "1")
+
+    @pytest.mark.parametrize("n", [1559, 2000])
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_naive_past_int_str_digit_limit(self, capsys, n, fmt):
+        # n! has more than 4300 digits from n = 1559 on, the interpreter's
+        # default limit for int-to-str conversion.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run_cli(capsys, "predict", "--n", str(n), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "human":
+            naive = dict(line.split(": ", 1) for line in out.splitlines())["naive"]
+            assert naive == scientific(math.factorial(n))
+        else:
+            naive = json.loads(out)["naive"] if fmt == "json" else parse_csv(out)[0]["naive"]
+            assert naive.isdigit()
+            assert Decimal(naive) == Decimal(math.factorial(n))
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
 
 
 class TestLearn:
@@ -242,6 +265,15 @@ class TestWorstCase:
             capsys, "worst-case", "--n", "4", "--strategy", "binary",
             "--mode", "exhaustive",
         )
+
+    def test_wrong_adversarial_order_is_invariant_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "learn_order", lambda rules, *args: (list(rules), 0))
+        code, _, err = run_cli(
+            capsys, "worst-case", "--n", "3", "--strategy", "binary",
+            "--mode", "adversarial",
+        )
+        assert code == 2
+        assert "wrong order" in err
 
 
 class TestTable:

@@ -7,6 +7,7 @@ import pytest
 from ruleorder import (
     CostModel,
     GroundTruthOrder,
+    IncorrectOrderError,
     InvalidPermutationError,
     SizeLimitError,
     adversarial_ground_truth,
@@ -149,6 +150,19 @@ class TestAdversarialGroundTruth:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
             adversarial_ground_truth(5, "bogus")
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_wrong_learned_order_raises(self, monkeypatch, strategy):
+        # The presentation order with its first two rules swapped is wrong
+        # on both adversarial instances.
+        def wrong_learner(rules, oracle, strategy, model):
+            seq = list(rules)
+            seq[0], seq[1] = seq[1], seq[0]
+            return seq, 0
+
+        monkeypatch.setattr(harness, "learn_order", wrong_learner)
+        with pytest.raises(IncorrectOrderError):
+            adversarial_worst_case(4, strategy)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ruleorder import (
@@ -13,9 +13,11 @@ from ruleorder import (
     GroundTruthOrder,
     InvalidPermutationError,
     InvalidQueryError,
+    UnsortedSequenceError,
     binary_insert,
     block_insert,
     learn_order,
+    ordering,
 )
 
 
@@ -133,7 +135,7 @@ class TestBlockInsert:
 
     def test_unsorted_input_trips_debug_assertion(self):
         oracle = oracle_for([0, 1, 2])
-        with pytest.raises(AssertionError):
+        with pytest.raises(UnsortedSequenceError):
             block_insert([1, 0], 2, oracle)
 
 
@@ -162,7 +164,7 @@ class TestBinaryInsert:
 
     def test_unsorted_input_trips_debug_assertion(self):
         oracle = oracle_for([0, 1, 2])
-        with pytest.raises(AssertionError):
+        with pytest.raises(UnsortedSequenceError):
             binary_insert([2, 0], 1, oracle)
 
     @pytest.mark.parametrize("m", range(1, 40))
@@ -336,3 +338,112 @@ def _queries_by_inserted_rule(transcript, presentation):
     for entry in transcript:
         grouped[entry[0]].append(entry)
     return grouped
+
+
+# ----------------------------------------------------------------------
+# Chunked learned sequence.  learn_order keeps its sequence in chunks; the
+# flat-list loop below is the reference it must match query for query.
+# ----------------------------------------------------------------------
+
+def flat_block_position(seq, x, oracle):
+    for j, y in enumerate(seq):
+        if oracle.precedes(x, y):
+            return j
+    return len(seq)
+
+
+def flat_binary_position(seq, x, oracle):
+    lo, hi = 0, len(seq)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if oracle.precedes(x, seq[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+FLAT_FINDERS = {"block": flat_block_position, "binary": flat_binary_position}
+
+
+def reference_learn(rules, oracle, strategy):
+    finder = FLAT_FINDERS[strategy]
+    seq = []
+    for x in rules:
+        seq.insert(finder(seq, x, oracle), x)
+    return seq
+
+
+def assert_matches_reference(order, presentation, strategy):
+    chunked = CountingOracle(order, record=True)
+    flat = CountingOracle(order, record=True)
+    seq, steps = learn_order(presentation, chunked, strategy)
+    assert seq == reference_learn(presentation, flat, strategy) == order.true_sequence()
+    assert steps == flat.query_count
+    assert repr(chunked.transcript) == repr(flat.transcript)
+
+
+class TestChunkedSequence:
+    def test_binary_across_many_chunks(self):
+        # more than three chunks of the largest size (2 * _CHUNK rules each)
+        n = 3 * 2 * ordering._CHUNK + 101
+        order = GroundTruthOrder.shuffled(n, random.Random(2))
+        truth = order.true_sequence()
+        presentations = {
+            "reversed": truth[::-1],
+            "identity": truth,
+            "shuffled": random.Random(3).sample(range(n), n),
+        }
+        for presentation in presentations.values():
+            assert_matches_reference(order, presentation, "binary")
+
+    def test_block_across_one_split(self):
+        # 2 * _CHUNK + 1 rules presented in reverse true order cost one query
+        # each and split the first chunk; the rest land all over the
+        # sequence, so their scans cross the chunk boundary.
+        size = 2 * ordering._CHUNK + 1
+        n = size + 100
+        order = GroundTruthOrder.shuffled(n, random.Random(4))
+        rng = random.Random(5)
+        first = set(rng.sample(range(n), size))
+        presentation = [r for r in order.true_sequence()[::-1] if r in first]
+        rest = [r for r in range(n) if r not in first]
+        rng.shuffle(rest)
+        assert_matches_reference(order, presentation + rest, "block")
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_finders_on_every_chunk_layout(self, strategy):
+        # Every split of m <= 7 rules into chunks and every landing
+        # position, so search windows start and end on every boundary.
+        finder = ordering._POSITION_FINDERS[strategy]
+        for m in range(8):
+            seq = [2 * i + 1 for i in range(m)]
+            order = GroundTruthOrder.identity(2 * m + 1)
+            for cuts in itertools.product((False, True), repeat=max(m - 1, 0)):
+                bounds = [0] + [i + 1 for i, cut in enumerate(cuts) if cut] + [m]
+                chunks = [seq[a:b] for a, b in zip(bounds, bounds[1:])] or [[]]
+                starts = bounds[:-1] or [0]
+                for x in range(0, 2 * m + 1, 2):
+                    chunked = CountingOracle(order, record=True)
+                    flat = CountingOracle(order, record=True)
+                    k, j = finder(chunks, starts, x, chunked.precedes)
+                    assert starts[k] + j == FLAT_FINDERS[strategy](seq, x, flat) == x // 2
+                    assert chunked.transcript == flat.transcript
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        permutation_pairs(60),
+        st.sampled_from(["block", "binary"]),
+        st.integers(min_value=1, max_value=3),
+    )
+    @example((list(range(60)), list(range(60))), "binary", 1)
+    @example((list(range(60)), list(range(59, -1, -1))), "binary", 1)
+    @example((list(range(60)), list(range(60))), "block", 2)
+    @example((list(range(60)), list(range(59, -1, -1))), "block", 3)
+    def test_small_chunks_match_flat_list(self, pair, strategy, chunk):
+        # The examples append every rule at the back and place every rule
+        # at the front.
+        ranks, presentation = pair
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ordering, "_CHUNK", chunk)
+            assert_matches_reference(GroundTruthOrder(tuple(ranks)), presentation, strategy)
