@@ -3,30 +3,35 @@
 Every command renders the same values in three formats (``human``, ``csv``,
 ``json``); csv and json share field names and ordering, so the two are
 interchangeable for scripting.  Exit codes: 0 success, 1 usage or input
-error, 2 internal invariant violation (a run that learned a wrong order).
+error, 2 internal invariant violation (a run that learned a wrong order, or
+predictors that break their proven bounds).
+
+Each command imports only what it runs: ``harness`` is loaded by ``learn``,
+``worst-case`` and ``table`` alone, and ``json``, ``csv``, ``Decimal``,
+``random`` and ``pathlib`` only by the format or option that needs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
-import random
 import sys
-from decimal import Decimal
-from pathlib import Path
 
-from . import complexity, harness
+from . import complexity
 from .ordering import (
     STRATEGIES,
     CostModel,
     GroundTruthOrder,
-    IncorrectOrderError,
+    InvariantError,
     OrderingError,
 )
 
 FORMATS = ("human", "csv", "json")
+
+# The --mode choices of worst-case: harness.MODE_EXHAUSTIVE and
+# harness.MODE_ADVERSARIAL, spelled out so building the parser does not
+# import harness.
+WORST_CASE_MODES = ("exhaustive", "adversarial")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +70,8 @@ def _cell(value) -> str:
 
 
 def _exact_digits(row: dict) -> dict:
+    from decimal import Decimal
+
     return {
         key: format(Decimal(value), "f") if key in _EXACT_DIGITS else value
         for key, value in row.items()
@@ -72,6 +79,8 @@ def _exact_digits(row: dict) -> dict:
 
 
 def _render_csv(rows: list[dict]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(rows[0].keys())
@@ -81,6 +90,8 @@ def _render_csv(rows: list[dict]) -> str:
 
 
 def _render_json(rows: list[dict], single: bool) -> str:
+    import json
+
     payload = rows[0] if single else rows
     return json.dumps(payload, indent=2) + "\n"
 
@@ -130,6 +141,8 @@ def _parse_ranks(text: str, where: str) -> list[int]:
 
 def _load_permutation(value: str, n: int) -> GroundTruthOrder:
     """Ranks by rule id, either inline ("2,0,1") or from a one-line file."""
+    from pathlib import Path
+
     path = Path(value)
     if path.is_file():
         lines = path.read_text().splitlines()
@@ -170,6 +183,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    from . import harness
+
     n = _positive_n(args)
     model = CostModel.parse(args.cost_model)
     presentation = list(range(n))
@@ -177,6 +192,8 @@ def _cmd_learn(args) -> int:
         ground_truth, presentation = harness.adversarial_ground_truth(n, args.strategy)
         source = "adversarial"
     elif args.seed is not None:
+        import random
+
         ground_truth = GroundTruthOrder.shuffled(n, random.Random(args.seed))
         source = f"seed={args.seed}"
     else:
@@ -201,6 +218,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_worst_case(args) -> int:
+    from . import harness
+
     n = _positive_n(args)
     model = CostModel.parse(args.cost_model)
     if args.mode == harness.MODE_EXHAUSTIVE:
@@ -221,6 +240,8 @@ def _cmd_worst_case(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import harness
+
     rows = [
         {
             "n": row.n,
@@ -305,7 +326,7 @@ def build_parser() -> _Parser:
     p_worst.add_argument("--strategy", choices=STRATEGIES, required=True)
     p_worst.add_argument(
         "--mode",
-        choices=(harness.MODE_EXHAUSTIVE, harness.MODE_ADVERSARIAL),
+        choices=WORST_CASE_MODES,
         required=True,
     )
     p_worst.add_argument(
@@ -332,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except IncorrectOrderError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (OrderingError, ValueError, OSError) as exc:

@@ -9,13 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context
+
+from .ordering import InvariantError
 
 DAYS_PER_YEAR = 365.25
 
 # Slack granted to the strict log2(n!) < B(n) bound, which floating
 # accumulation (and the exact tie at n = 2) would otherwise break.
 BOUND_RELATIVE_TOLERANCE = 1e-9
+
+# Decimal digits kept beyond the requested ones when ``scientific`` cuts a
+# long integer short; the estimate of its length from bit_length() is off
+# by at most one, so at least digits + _GUARD digits always remain.
+_GUARD = 12
+_LOG10_2 = math.log10(2)
 
 
 def _require_positive(n: int) -> None:
@@ -30,29 +37,24 @@ def ceil_log2(k: int) -> int:
     return (k - 1).bit_length()
 
 
-def block_steps_sum(n: int) -> int:
-    """Worst-case steps of linear-scan insertion, as the literal sum 2+3+...+n.
+def block_steps_exact(n: int) -> int:
+    """Worst-case steps of linear-scan insertion, 2 + 3 + ... + n, in closed form.
 
     The first rule is placed without any test, so the i = 1 term drops out.
-    """
-    _require_positive(n)
-    return sum(range(2, n + 1))
-
-
-def block_steps_exact(n: int) -> int:
-    """Worst-case steps of linear-scan insertion in closed form.
-
-    Equals ``block_steps_sum(n)`` for every n >= 1; kept separate so the
-    identity between the two routes stays testable.
     """
     _require_positive(n)
     return (n * n - n) // 2 + n - 1
 
 
 def binary_steps(n: int) -> int:
-    """Worst-case queries of binary insertion: sum of ceil(log2 k), k = 1..n."""
+    """Worst-case queries of binary insertion: sum of ceil(log2 k), k = 1..n.
+
+    Evaluated in O(1) with Knuth's closed form n*L - 2**L + 1, where
+    L = ceil(log2 n) (TAOCP vol. 3, section 5.3.1).
+    """
     _require_positive(n)
-    return sum(ceil_log2(k) for k in range(1, n + 1))
+    levels = ceil_log2(n)
+    return n * levels - (1 << levels) + 1
 
 
 def log_factorial(n: int) -> float:
@@ -96,10 +98,27 @@ def learning_duration(steps: int, steps_per_day: float) -> float:
 
 
 def scientific(value: int, digits: int = 6) -> str:
-    """Render a (possibly huge) integer in e-notation with significant digits."""
+    """Render a (possibly huge) integer in e-notation with significant digits.
+
+    Rounds half to even, like ``Decimal`` under ``Context(prec=digits)``.
+    An integer of more than about digits + 12 decimal digits is not converted
+    whole: one divmod keeps its leading digits, a nonzero remainder becomes
+    a sticky last digit (so ties and near-ties round as on the full value),
+    and only that short integer is rounded.  The cost is one power of ten
+    and one division instead of a conversion quadratic in the digit count.
+    """
+    # Imported here: commands that print no e-notation never load decimal.
+    from decimal import Context, Decimal
+
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    return format(Context(prec=digits).create_decimal(value), "e")
+    context = Context(prec=digits)
+    drop = int(abs(value).bit_length() * _LOG10_2) - digits - _GUARD
+    if drop <= 0:
+        return format(context.create_decimal(value), "e")
+    head, rest = divmod(abs(value), 10**drop)
+    _, coefficient, exponent = context.create_decimal(head * 10 + (rest != 0)).as_tuple()
+    return format(Decimal((int(value < 0), coefficient, exponent + drop - 1)), "e")
 
 
 @dataclass(frozen=True)
@@ -118,12 +137,21 @@ class ComplexityReport:
     naive: int
 
     def __post_init__(self) -> None:
-        assert self.s_n == (self.n * self.n - self.n) // 2 + self.n - 1
-        if self.n >= 2:
-            slack = BOUND_RELATIVE_TOLERANCE * max(1.0, self.log_factorial)
-            assert self.log_factorial <= self.b_n + slack
-            assert self.b_n < self.log_factorial + self.n
-            assert self.b_n < self.n * math.log2(self.n)
+        n, b_n, lf = self.n, self.b_n, self.log_factorial
+        checks = [("s_n = (n^2 - n)/2 + n - 1", self.s_n == (n * n - n) // 2 + n - 1)]
+        if n >= 2:
+            slack = BOUND_RELATIVE_TOLERANCE * max(1.0, lf)
+            checks += [
+                ("log2(n!) <= b_n", lf <= b_n + slack),
+                ("b_n < log2(n!) + n", b_n < lf + n),
+                ("b_n < n log2(n)", b_n < n * math.log2(n)),
+            ]
+        broken = [label for label, holds in checks if not holds]
+        if broken:
+            raise InvariantError(
+                f"predictors at n = {n} break {'; '.join(broken)}"
+                f" (s_n = {self.s_n}, b_n = {b_n}, log2(n!) = {lf!r})"
+            )
 
 
 def report(n: int) -> ComplexityReport:

@@ -9,8 +9,8 @@ trials share nothing and can be executed in any order.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-import statistics
 from dataclasses import dataclass
 
 from . import complexity
@@ -272,7 +272,7 @@ def random_trials(
         rng_algorithm=RNG_ALGORITHM,
         min_queries=min(counts),
         max_queries=max(counts),
-        mean_queries=statistics.fmean(counts),
+        mean_queries=math.fsum(counts) / len(counts),
         all_correct=all_correct,
     )
 

@@ -62,7 +62,11 @@ class UnsortedSequenceError(OrderingError):
     """A sequence passed in as sorted by hidden rank is not."""
 
 
-class IncorrectOrderError(OrderingError):
+class InvariantError(OrderingError):
+    """An internal invariant failed: a defect in this package, not bad input."""
+
+
+class IncorrectOrderError(InvariantError):
     """A learner returned an order that differs from the hidden one."""
 
 

@@ -20,7 +20,6 @@ from ruleorder import (
     adversarial_ground_truth,
     binary_steps,
     block_steps_exact,
-    block_steps_sum,
     learning_duration,
     log_factorial,
     naive_steps,
@@ -29,6 +28,8 @@ from ruleorder import (
     scientific,
     speedup,
 )
+
+from oracles import block_steps_sum
 
 GOLDEN = Path(__file__).parent / "golden" / "table.csv"
 PLACEMENT = CostModel.COMPARISONS_PLUS_PLACEMENT

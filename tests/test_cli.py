@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ruleorder import harness, scientific
+from ruleorder import cli, complexity, harness, scientific
 from ruleorder.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,6 +93,19 @@ class TestPredict:
     def test_csv_json_round_trip(self, capsys):
         assert_csv_json_agree(capsys, "predict", "--n", "27")
         assert_csv_json_agree(capsys, "predict", "--n", "1")
+
+    def test_human_naive_past_decimal_exponent_limit(self, capsys):
+        # n! has 1,026,468 digits here, past the 10**999999 a default
+        # Decimal context can hold.
+        code, out, err = run_cli(capsys, "predict", "--n", "210000")
+        assert (code, err) == (0, "")
+        assert "naive: 1.86593e+1026467" in out
+
+    def test_broken_predictor_is_invariant_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(complexity, "binary_steps", lambda n: n * n)
+        code, out, err = run_cli(capsys, "predict", "--n", "27")
+        assert (code, out) == (2, "")
+        assert "b_n < n log2" in err
 
     @pytest.mark.parametrize("n", [1559, 2000])
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
@@ -265,6 +278,9 @@ class TestWorstCase:
             capsys, "worst-case", "--n", "4", "--strategy", "binary",
             "--mode", "exhaustive",
         )
+
+    def test_mode_choices_match_harness(self):
+        assert cli.WORST_CASE_MODES == (harness.MODE_EXHAUSTIVE, harness.MODE_ADVERSARIAL)
 
     def test_wrong_adversarial_order_is_invariant_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(harness, "learn_order", lambda rules, *args: (list(rules), 0))

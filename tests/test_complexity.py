@@ -1,15 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ruleorder import complexity
+from ruleorder import InvariantError, complexity
 from ruleorder.complexity import (
     binary_steps,
     binary_steps_approx,
     block_steps_exact,
-    block_steps_sum,
     ceil_log2,
     learning_duration,
     log_factorial,
@@ -17,6 +16,13 @@ from ruleorder.complexity import (
     report,
     scientific,
     speedup,
+)
+
+from oracles import (
+    binary_steps_by_level,
+    binary_steps_sum,
+    block_steps_sum,
+    scientific_by_decimal,
 )
 
 
@@ -78,6 +84,19 @@ class TestBinarySteps:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             binary_steps(0)
+
+    def test_closed_form_equals_sum_to_20000(self):
+        running = 0
+        for n in range(1, 20001):
+            running += (n - 1).bit_length()
+            assert binary_steps(n) == running
+        for n in (1, 2, 3, 27, 1000, 4097, 20000):
+            assert binary_steps_sum(n) == binary_steps_by_level(n) == binary_steps(n)
+
+    @pytest.mark.parametrize("k", range(1, 61))
+    def test_closed_form_at_powers_of_two(self, k):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            assert binary_steps(n) == binary_steps_by_level(n)
 
 
 class TestLogFactorial:
@@ -158,6 +177,47 @@ class TestScientific:
     def test_digit_control(self):
         assert scientific(naive_steps(27), digits=3) == "1.09e+28"
 
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=-(2**3000), max_value=2**3000),
+        st.integers(min_value=1, max_value=12),
+    )
+    @example(10**60 - 1, 6)
+    def test_matches_decimal_route(self, value, digits):
+        assert scientific(value, digits) == scientific_by_decimal(value, digits)
+
+    @pytest.mark.parametrize("digits", [1, 3, 6, 12])
+    @pytest.mark.parametrize("scale", [0, 1, 13, 40, 400])
+    @pytest.mark.parametrize("last", [4, 5])
+    def test_half_even_ties_and_near_ties(self, digits, scale, last):
+        # A head ending in an even (4) or odd (5) digit, then exactly half a
+        # unit in the last kept place, then the same minus or plus one.
+        head = int("1" * (digits - 1) + str(last))
+        tie = (head * 10 + 5) * 10**scale
+        for value in (tie - 1, tie, tie + 1, -tie):
+            assert scientific(value, digits) == scientific_by_decimal(value, digits)
+        kept = head + (last % 2)
+        assert scientific(tie, digits) == scientific_by_decimal(kept * 10 ** (scale + 1), digits)
+
+    @pytest.mark.parametrize("scale", [0, 5, 30, 300])
+    def test_carry_to_next_power(self, scale):
+        assert scientific(9999995 * 10**scale) == f"1.00000e+{scale + 7}"
+        assert scientific(9999995 * 10**scale - 1) == f"9.99999e+{scale + 6}"
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [(0, "0e+0"), (1, "1e+0"), (120, "1.20e+2"), (-120, "-1.20e+2"),
+         (-(10**50) - 1, "-1.00000e+50")],
+    )
+    def test_short_and_signed_values(self, value, expected):
+        assert scientific(value) == expected == scientific_by_decimal(value)
+
+    @pytest.mark.parametrize("n", [27, 1000, 1558, 1559, 2000, 20000])
+    def test_factorials_match_decimal_route(self, n):
+        value = naive_steps(n)
+        for digits in (1, 6, 12):
+            assert scientific(value, digits) == scientific_by_decimal(value, digits)
+
 
 class TestSpeedup:
     def test_value_at_27(self):
@@ -212,6 +272,11 @@ class TestReport:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             report(0)
+
+    def test_broken_predictor_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(complexity, "binary_steps", lambda n: n * n)
+        with pytest.raises(InvariantError, match="b_n < n log2"):
+            report(27)
 
 
 class TestFormulaInvariants:
