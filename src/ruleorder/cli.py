@@ -43,6 +43,11 @@ EXIT_INVARIANT = 2
 # passes at n = 1559.
 _EXACT_DIGITS = frozenset({"naive"})
 
+# Decimal(int) is quadratic in the digit count, so _decimal_digits converts
+# pieces of at most this many bits and joins them with Decimal products.  Of
+# 512 to 8192, 4096 was fastest for 20000! and 100000! (CPython 3.11).
+_DIRECT_BITS = 4096
+
 
 class _UsageError(Exception):
     pass
@@ -69,11 +74,41 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _exact_digits(row: dict) -> dict:
-    from decimal import Decimal
+def _decimal_digits(value: int) -> str:
+    """The exact decimal digits of ``value``, in time near-linear in their count.
 
+    Splits the integer at half its bit width, converts both halves the same
+    way and joins them as hi * 2**half + lo in exact Decimal arithmetic, so
+    the work is Decimal multiplications instead of one quadratic conversion.
+    """
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
+
+    magnitude = abs(value)
+    if magnitude.bit_length() <= _DIRECT_BITS:
+        return format(Decimal(value), "f")
+    # Inexact is trapped, so a rounded product would raise, not print.
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    powers: dict[int, Decimal] = {}
+
+    def convert(v: int, width: int) -> Decimal:
+        if width <= _DIRECT_BITS:
+            return Decimal(v)
+        half = width // 2
+        if half not in powers:
+            powers[half] = context.power(Decimal(2), half)
+        hi = v >> half
+        return context.add(
+            context.multiply(convert(hi, width - half), powers[half]),
+            convert(v - (hi << half), half),
+        )
+
+    digits = format(convert(magnitude, magnitude.bit_length()), "f")
+    return "-" + digits if value < 0 else digits
+
+
+def _exact_digits(row: dict) -> dict:
     return {
-        key: format(Decimal(value), "f") if key in _EXACT_DIGITS else value
+        key: _decimal_digits(value) if key in _EXACT_DIGITS else value
         for key, value in row.items()
     }
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import complexity
 from .ordering import (
-    STRATEGIES,
     CostModel,
     CountingOracle,
     GroundTruthOrder,
@@ -23,6 +22,7 @@ from .ordering import (
     InvalidPermutationError,
     RuleId,
     SizeLimitError,
+    _position_finder,
     learn_order,
 )
 
@@ -198,10 +198,7 @@ def adversarial_ground_truth(
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r} (choose from: {', '.join(STRATEGIES)})"
-        )
+    _position_finder(strategy)  # raises ValueError for an unknown strategy
     presentation = list(range(n))
     if strategy == "block":
         return GroundTruthOrder.identity(n), presentation

@@ -83,11 +83,13 @@ class CostModel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "CostModel":
-        for model in cls:
-            if model.value == text:
-                return model
-        choices = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown cost model {text!r} (choose from: {choices})")
+        try:
+            return cls(text)
+        except ValueError:
+            choices = ", ".join(m.value for m in cls)
+            raise ValueError(
+                f"unknown cost model {text!r} (choose from: {choices})"
+            ) from None
 
     def steps(self, queries: int, n: int) -> int:
         """Step count for a full run of ``n`` rules that spent ``queries``."""
@@ -145,6 +147,15 @@ class CountingOracle:
 
     With ``record=True`` every query is appended to ``transcript`` as
     ``(a, b, answer)``; recording is off by default to keep long runs lean.
+
+    The learners place each rule with one call to ``_scan`` or ``_search``,
+    which run a whole search loop and charge the queries it spends.  When
+    nothing could tell the difference (the oracle is not recording and its
+    ``precedes`` is this class's own, not replaced on a subclass, on the
+    class or on the instance), the loop compares ranks inline.  Otherwise it
+    calls ``self.precedes`` once per query, so transcripts and wrapped or
+    overridden ``precedes`` see every query.  Both routes ask the same
+    queries in the same order and charge the same count.
     """
 
     order: GroundTruthOrder
@@ -170,24 +181,89 @@ class CountingOracle:
         self.query_count = 0
         self.transcript.clear()
 
+    def _batched(self) -> bool:
+        """True when per-query ``precedes`` calls would be unobservable."""
+        return (
+            not self.record
+            and type(self).precedes is _STOCK_PRECEDES
+            and "precedes" not in self.__dict__
+        )
+
+    def _scan(self, x: RuleId, seq: list[RuleId]) -> int:
+        """Offset of the first rule in ``seq`` that ``x`` precedes, else ``len(seq)``.
+
+        Charges the queries of a front-to-back scan: j + 1 when it stops at
+        offset j, ``len(seq)`` when no rule matches.  The caller has checked
+        that ``x`` and the rules of ``seq`` are distinct rules of the universe.
+        """
+        if self._batched():
+            ranks = self.order.ranks
+            rx = ranks[x]
+            for y in seq:
+                if rx < ranks[y]:
+                    # The rules of seq are distinct, so index finds this y;
+                    # it is faster than counting in the loop.
+                    j = seq.index(y)
+                    self.query_count += j + 1
+                    return j
+            self.query_count += len(seq)
+            return len(seq)
+        precedes = self.precedes
+        j = 0
+        for y in seq:
+            if precedes(x, y):
+                return j
+            j += 1
+        return j
+
+    def _search(self, x: RuleId, seq: list[RuleId], lo: int, hi: int) -> int:
+        """Insertion point of ``x`` in ``seq[lo:hi]`` by halving; one query per probe.
+
+        Same precondition as ``_scan``.
+        """
+        if self._batched():
+            ranks = self.order.ranks
+            rx = ranks[x]
+            probes = 0
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if rx < ranks[seq[mid]]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+                probes += 1
+            self.query_count += probes
+            return lo
+        precedes = self.precedes
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if precedes(x, seq[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+
+_STOCK_PRECEDES = CountingOracle.precedes
+
 
 def _block_position(
     chunks: list[list[RuleId]],
     starts: list[int],
     x: RuleId,
-    precedes: Callable[[RuleId, RuleId], bool],
+    oracle: CountingOracle,
 ) -> tuple[int, int]:
     """First position whose rule the newcomer precedes; end if none.
 
-    Returns (chunk index, offset in that chunk).
+    Scans one chunk per oracle call.  Returns (chunk index, offset in that
+    chunk).
     """
+    scan = oracle._scan
     k = 0
     for chunk in chunks:
-        j = 0
-        for y in chunk:
-            if precedes(x, y):
-                return k, j
-            j += 1
+        j = scan(x, chunk)
+        if j < len(chunk):
+            return k, j
         k += 1
     return k - 1, j
 
@@ -196,19 +272,20 @@ def _binary_position(
     chunks: list[list[RuleId]],
     starts: list[int],
     x: RuleId,
-    precedes: Callable[[RuleId, RuleId], bool],
+    oracle: CountingOracle,
 ) -> tuple[int, int]:
     """Insertion point by halving the candidate window [lo, hi).
 
     Midpoints are taken over global positions, so the probes are those of a
     binary search over the concatenated chunks.  While the window spans
-    chunks klo..khi, each probe bisects ``starts`` for its chunk; once it
-    lies in one chunk the search finishes on that plain list.  Returns
-    (chunk index, offset in that chunk).
+    chunks klo..khi, each probe bisects ``starts`` for its chunk and asks
+    ``precedes``; once it lies in one chunk, one ``_search`` call finishes
+    on that plain list.  Returns (chunk index, offset in that chunk).
     """
     k = len(chunks) - 1
     lo, hi = 0, starts[k] + len(chunks[k])
     if k:
+        precedes = oracle.precedes
         klo, khi = 0, k
         while klo < khi:
             mid = (lo + hi) // 2
@@ -223,14 +300,7 @@ def _binary_position(
         base = starts[k]
         lo -= base
         hi -= base
-    chunk = chunks[k]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if precedes(x, chunk[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return k, lo
+    return k, oracle._search(x, chunks[k], lo, hi)
 
 
 _POSITION_FINDERS: dict[str, Callable[..., tuple[int, int]]] = {
@@ -254,14 +324,18 @@ def _is_sorted_by_rank(seq: Sequence[RuleId], order: GroundTruthOrder) -> bool:
 
 
 def _checked_insert(seq, x, oracle, finder):
-    if not 0 <= x < oracle.order.n:
-        raise InvalidQueryError(f"rule {x} outside universe of {oracle.order.n} rules")
-    if x in seq:
-        raise DuplicateRuleError(f"rule {x} already placed")
-    if not _is_sorted_by_rank(seq, oracle.order):
-        raise UnsortedSequenceError("input sequence not sorted by rank")
+    n = oracle.order.n
     out = list(seq)
-    _, j = finder([out], [0], x, oracle.precedes)
+    # The finder's batched route reads ranks unchecked, so every rule it
+    # may compare is checked here, as precedes would check it.
+    for rule in (x, *out):
+        if not 0 <= rule < n:
+            raise InvalidQueryError(f"rule {rule} outside universe of {n} rules")
+    if x in out:
+        raise DuplicateRuleError(f"rule {x} already placed")
+    if not _is_sorted_by_rank(out, oracle.order):
+        raise UnsortedSequenceError("input sequence not sorted by rank")
+    _, j = finder([out], [0], x, oracle)
     out.insert(j, x)
     return out
 
@@ -307,6 +381,12 @@ def learn_order(
     so a run costs O(n * (``_CHUNK`` + n / ``_CHUNK``)) in placement instead
     of the O(n^2) of one flat list.  The queries, their order and the
     oracle's transcript are those of a search over one flat list.
+
+    Each rule is placed with one oracle call per chunk it scans (block) or
+    one ``_search`` call after a few cross-chunk ``precedes`` probes
+    (binary), so a plain oracle answers without a Python call per query.
+    A recording oracle, or one whose ``precedes`` is replaced, is asked
+    every query through ``precedes`` (see ``CountingOracle``).
     """
     finder = _position_finder(strategy)
     rules = list(universe)
@@ -319,14 +399,13 @@ def learn_order(
         if not 0 <= x < n_domain:
             raise InvalidQueryError(f"rule {x} outside universe of {n_domain} rules")
 
-    precedes = oracle.precedes
     before = oracle.query_count
     half, limit = _CHUNK, 2 * _CHUNK
     chunks: list[list[RuleId]] = [[]]
     starts = [0]
     last = 0
     for x in rules:
-        k, j = finder(chunks, starts, x, precedes)
+        k, j = finder(chunks, starts, x, oracle)
         chunk = chunks[k]
         chunk.insert(j, x)
         if k < last:

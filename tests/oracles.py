@@ -1,11 +1,12 @@
 """Independent routes to the library's closed forms, kept only as test oracles.
 
 The library evaluates each formula one way; these are the literal sums the
-closed forms were derived from, and the Decimal conversion ``scientific``
-used to make, so tests can check one route against the other.
+closed forms were derived from, and the Decimal conversions ``scientific``
+and the csv/json renderers used to make, so tests can check one route
+against the other.
 """
 
-from decimal import Context
+from decimal import Context, Decimal
 
 
 def _require_positive(n):
@@ -41,3 +42,8 @@ def binary_steps_by_level(n):
 def scientific_by_decimal(value, digits=6):
     """e-notation through a Decimal conversion of the whole integer."""
     return format(Context(prec=digits).create_decimal(value), "e")
+
+
+def exact_digits_by_decimal(value):
+    """Exact decimal digits through one (quadratic) Decimal conversion."""
+    return format(Decimal(value), "f")

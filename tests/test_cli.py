@@ -8,7 +8,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import exact_digits_by_decimal
 from ruleorder import cli, complexity, harness, scientific
 from ruleorder.cli import main
 
@@ -124,6 +127,27 @@ class TestPredict:
             assert Decimal(naive) == Decimal(math.factorial(n))
         if limit is not None:
             assert sys.get_int_max_str_digits() == limit
+
+
+class TestExactDigits:
+    @pytest.mark.parametrize("n", [1558, 1559, 2000, 20000])
+    def test_factorials_match_one_decimal_conversion(self, n):
+        value = math.factorial(n)
+        assert cli._decimal_digits(value) == exact_digits_by_decimal(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=20000).flatmap(
+            lambda bits: st.integers(min_value=-(2**bits), max_value=2**bits)
+        )
+    )
+    @example(0)
+    @example(-1)
+    @example(2**cli._DIRECT_BITS)
+    @example(-(2**cli._DIRECT_BITS) - 1)
+    @example(2**20000 - 1)
+    def test_ints_match_one_decimal_conversion(self, value):
+        assert cli._decimal_digits(value) == exact_digits_by_decimal(value)
 
 
 class TestLearn:

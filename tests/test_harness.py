@@ -6,6 +6,7 @@ import pytest
 
 from ruleorder import (
     CostModel,
+    CountingOracle,
     GroundTruthOrder,
     IncorrectOrderError,
     InvalidPermutationError,
@@ -18,6 +19,7 @@ from ruleorder import (
     harness,
     random_trials,
     comparison_table,
+    learn_order,
     run_trial,
 )
 
@@ -150,6 +152,15 @@ class TestAdversarialGroundTruth:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
             adversarial_ground_truth(5, "bogus")
+
+    def test_unknown_strategy_message_matches_learn_order(self):
+        with pytest.raises(ValueError) as harness_error:
+            adversarial_ground_truth(5, "bogus")
+        with pytest.raises(ValueError) as ordering_error:
+            learn_order([0], CountingOracle(GroundTruthOrder.identity(1)), "bogus")
+        assert str(harness_error.value) == str(ordering_error.value) == (
+            "unknown strategy 'bogus' (choose from: block, binary)"
+        )
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     def test_wrong_learned_order_raises(self, monkeypatch, strategy):

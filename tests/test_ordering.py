@@ -25,6 +25,21 @@ def oracle_for(ranks, record=False):
     return CountingOracle(GroundTruthOrder(tuple(ranks)), record=record)
 
 
+class TestCostModelParse:
+    def test_every_value_parses(self):
+        for model in CostModel:
+            assert CostModel.parse(model.value) is model
+
+    def test_unknown_value_message(self):
+        with pytest.raises(ValueError) as error:
+            CostModel.parse("bogus")
+        assert str(error.value) == (
+            "unknown cost model 'bogus' "
+            "(choose from: comparisons, comparisons-plus-placement)"
+        )
+        assert error.value.__cause__ is None and error.value.__suppress_context__
+
+
 class TestGroundTruthOrder:
     def test_identity(self):
         order = GroundTruthOrder.identity(4)
@@ -375,12 +390,17 @@ def reference_learn(rules, oracle, strategy):
 
 
 def assert_matches_reference(order, presentation, strategy):
+    # A recording oracle is asked every query through precedes; a plain one
+    # takes the batched route.  Both must match the flat reference.
     chunked = CountingOracle(order, record=True)
+    batched = CountingOracle(order)
     flat = CountingOracle(order, record=True)
     seq, steps = learn_order(presentation, chunked, strategy)
     assert seq == reference_learn(presentation, flat, strategy) == order.true_sequence()
     assert steps == flat.query_count
     assert repr(chunked.transcript) == repr(flat.transcript)
+    assert learn_order(presentation, batched, strategy) == (seq, steps)
+    assert batched.query_count == flat.query_count
 
 
 class TestChunkedSequence:
@@ -425,10 +445,13 @@ class TestChunkedSequence:
                 starts = bounds[:-1] or [0]
                 for x in range(0, 2 * m + 1, 2):
                     chunked = CountingOracle(order, record=True)
+                    batched = CountingOracle(order)
                     flat = CountingOracle(order, record=True)
-                    k, j = finder(chunks, starts, x, chunked.precedes)
+                    k, j = finder(chunks, starts, x, chunked)
                     assert starts[k] + j == FLAT_FINDERS[strategy](seq, x, flat) == x // 2
                     assert chunked.transcript == flat.transcript
+                    assert finder(chunks, starts, x, batched) == (k, j)
+                    assert batched.query_count == flat.query_count
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -447,3 +470,92 @@ class TestChunkedSequence:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ordering, "_CHUNK", chunk)
             assert_matches_reference(GroundTruthOrder(tuple(ranks)), presentation, strategy)
+
+
+# ----------------------------------------------------------------------
+# The batched route.  An oracle whose precedes is replaced anywhere must be
+# asked every query through the replacement; results never change.
+# ----------------------------------------------------------------------
+
+class _Tally:
+    """Counts calls to the precedes it wraps."""
+
+    def __init__(self, precedes):
+        self.precedes = precedes
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.precedes(*args)
+
+
+def _learn_both_strategies(order, presentation, oracle):
+    results = []
+    for strategy in ("block", "binary"):
+        oracle.reset()
+        results.append((learn_order(presentation, oracle, strategy), oracle.query_count))
+    return results
+
+
+class TestReplacedPrecedes:
+    # Chunks of at most 4 rules, so the binary finder probes across chunks
+    # and the block finder scans several chunks per rule.
+    order = GroundTruthOrder.shuffled(40, random.Random(6))
+    presentation = random.Random(7).sample(range(40), 40)
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(ordering, "_CHUNK", 2)
+        # Taken before any test replaces precedes.
+        self.want = _learn_both_strategies(
+            self.order, self.presentation, CountingOracle(self.order)
+        )
+
+    def assert_every_query_seen(self, oracle, tally):
+        got = _learn_both_strategies(self.order, self.presentation, oracle)
+        assert got == self.want
+        assert tally.calls == sum(count for _, count in got) > 0
+
+    def test_subclass_override(self):
+        tally = _Tally(CountingOracle.precedes)
+
+        class Overriding(CountingOracle):
+            def precedes(self, a, b):
+                return tally(self, a, b)
+
+        self.assert_every_query_seen(Overriding(self.order), tally)
+
+    def test_class_level_wrapper(self, monkeypatch):
+        # Installed on the class, as perfbench's tracer installs its wrapper.
+        tally = _Tally(CountingOracle.precedes)
+        monkeypatch.setattr(CountingOracle, "precedes", lambda self, a, b: tally(self, a, b))
+        self.assert_every_query_seen(CountingOracle(self.order), tally)
+
+    def test_instance_attribute(self):
+        oracle = CountingOracle(self.order)
+        tally = _Tally(oracle.precedes)
+        oracle.precedes = tally
+        self.assert_every_query_seen(oracle, tally)
+
+
+class TestInsertRoutes:
+    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
+    def test_plain_and_recording_oracles_charge_the_same(self, insert):
+        for m in range(12):
+            order = GroundTruthOrder.shuffled(m + 1, random.Random(m))
+            for x in range(m + 1):
+                seq = [r for r in order.true_sequence() if r != x]
+                plain, recording = CountingOracle(order), CountingOracle(order, record=True)
+                assert insert(seq, x, plain) == insert(seq, x, recording)
+                assert plain.query_count == recording.query_count == len(recording.transcript)
+
+    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("seq", [[1, -1], [0, 3], [-3]])
+    def test_rules_outside_universe_rejected(self, insert, record, seq):
+        # [1, -1] reads as sorted through negative indexing, and a scan that
+        # stops at rule 1 would never query -1; the check still rejects it.
+        oracle = oracle_for([0, 1, 2], record=record)
+        with pytest.raises(InvalidQueryError):
+            insert(seq, 0 if 0 not in seq else 2, oracle)
+        assert oracle.query_count == 0
