@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from dataclasses import asdict
 
 from . import complexity
 from .ordering import (
@@ -203,17 +204,7 @@ def _load_permutation(value: str, n: int) -> GroundTruthOrder:
 # --------------------------------------------------------------------------
 
 def _cmd_predict(args) -> int:
-    rep = complexity.report(_positive_n(args))
-    row = {
-        "n": rep.n,
-        "s_n": rep.s_n,
-        "b_n": rep.b_n,
-        "b_f_n": rep.b_f_n,
-        "log_factorial": rep.log_factorial,
-        "speedup": rep.speedup,
-        "naive": rep.naive,
-    }
-    _emit([row], args.format)
+    _emit([asdict(complexity.report(_positive_n(args)))], args.format)
     return EXIT_OK
 
 
@@ -236,16 +227,7 @@ def _cmd_learn(args) -> int:
         source = "permutation"
 
     result = harness.run_trial(n, args.strategy, ground_truth, presentation, model, source)
-    row = {
-        "strategy": result.strategy,
-        "n": result.n,
-        "queries": result.queries,
-        "steps": result.steps,
-        "correct": result.correct,
-        "cost_model": result.cost_model,
-        "source": result.source,
-    }
-    _emit([row], args.format)
+    _emit([asdict(result)], args.format)
     if not result.correct:
         print("error: learned order does not match the ground truth", file=sys.stderr)
         return EXIT_INVARIANT
@@ -277,18 +259,7 @@ def _cmd_worst_case(args) -> int:
 def _cmd_table(args) -> int:
     from . import harness
 
-    rows = [
-        {
-            "n": row.n,
-            "naive": row.naive,
-            "s_n": row.s_n,
-            "b_n": row.b_n,
-            "speedup": row.speedup,
-            "block_years": row.block_years,
-            "binary_years": row.binary_years,
-        }
-        for row in harness.comparison_table()
-    ]
+    rows = [asdict(row) for row in harness.comparison_table()]
     if args.format == "human":
         header = ("n", "naive", "s_n", "b_n", "speedup", "block_years", "binary_years")
         rendered = [

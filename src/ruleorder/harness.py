@@ -23,6 +23,7 @@ from .ordering import (
     RuleId,
     SizeLimitError,
     _position_finder,
+    _require_permutation,
     learn_order,
 )
 
@@ -99,15 +100,6 @@ class TableRow:
     binary_years: float
 
 
-def _validate_permutation(values, n: int, what: str) -> tuple[int, ...]:
-    out = tuple(values)
-    if sorted(out) != list(range(n)):
-        raise InvalidPermutationError(
-            f"{what} must be a permutation of 0..{n - 1}: {out!r}"
-        )
-    return out
-
-
 def run_trial(
     n: int,
     strategy: str,
@@ -124,7 +116,8 @@ def run_trial(
     if presentation_order is None:
         presentation = tuple(range(n))
     else:
-        presentation = _validate_permutation(presentation_order, n, "presentation order")
+        presentation = tuple(presentation_order)
+        _require_permutation(presentation, n, "presentation order")
 
     oracle = CountingOracle(ground_truth)
     learned, steps = learn_order(presentation, oracle, strategy, model)
@@ -149,8 +142,7 @@ def exhaustive_worst_case(
     and return the maximum step count with the first instance attaining it.
     """
     cap = EXHAUSTIVE_CAP_VARY if vary_presentation else EXHAUSTIVE_CAP_FIXED
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    complexity._require_positive(n)
     if n > cap:
         raise SizeLimitError(
             f"exhaustive search with vary_presentation={vary_presentation} "
@@ -196,8 +188,7 @@ def adversarial_ground_truth(
     of the search tree for every window size (each halving keeps the larger,
     left half), so each insertion into m rules costs ceil(log2(m + 1)).
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    complexity._require_positive(n)
     _position_finder(strategy)  # raises ValueError for an unknown strategy
     presentation = list(range(n))
     if strategy == "block":
@@ -240,8 +231,7 @@ def random_trials(
     The same seed always yields the same summary; ground truths (and, when
     requested, presentation orders) are drawn from one deterministic stream.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    complexity._require_positive(n)
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 # A rule is identified by an integer index in [0, n).
@@ -98,6 +99,14 @@ class CostModel(enum.Enum):
         return queries
 
 
+def _require_permutation(values: tuple[int, ...], n: int, what: str) -> None:
+    """Raise ``InvalidPermutationError`` unless ``values`` is a permutation of [0, n)."""
+    if sorted(values) != list(range(n)):
+        raise InvalidPermutationError(
+            f"{what} must be a permutation of 0..{n - 1}: {values!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GroundTruthOrder:
     """The hidden strict total order: ``ranks[rule]`` is the rule's rank.
@@ -108,11 +117,7 @@ class GroundTruthOrder:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.ranks)
-        if sorted(self.ranks) != list(range(n)):
-            raise InvalidPermutationError(
-                f"ranks must be a permutation of 0..{n - 1}: {self.ranks!r}"
-            )
+        _require_permutation(self.ranks, len(self.ranks), "ranks")
 
     @classmethod
     def identity(cls, n: int) -> "GroundTruthOrder":
@@ -148,14 +153,15 @@ class CountingOracle:
     With ``record=True`` every query is appended to ``transcript`` as
     ``(a, b, answer)``; recording is off by default to keep long runs lean.
 
-    The learners place each rule with one call to ``_scan`` or ``_search``,
-    which run a whole search loop and charge the queries it spends.  When
-    nothing could tell the difference (the oracle is not recording and its
-    ``precedes`` is this class's own, not replaced on a subclass, on the
-    class or on the instance), the loop compares ranks inline.  Otherwise it
-    calls ``self.precedes`` once per query, so transcripts and wrapped or
-    overridden ``precedes`` see every query.  Both routes ask the same
-    queries in the same order and charge the same count.
+    ``learn_order`` and the public inserts ask ``_batched()`` once per call.
+    When nothing could tell the difference (the oracle is not recording and
+    its ``precedes`` is this class's own, not replaced on a subclass, on the
+    class or on the instance), they find each landing place by bisecting
+    the ranks already placed and add to ``query_count`` the queries the
+    strategy's own search would have asked to land there, without calling
+    ``precedes``.  Otherwise they ask every query through ``self.precedes``,
+    so transcripts and wrapped or overridden ``precedes`` see every query.
+    Both routes charge the same count and learn the same sequence.
     """
 
     order: GroundTruthOrder
@@ -189,62 +195,12 @@ class CountingOracle:
             and "precedes" not in self.__dict__
         )
 
-    def _scan(self, x: RuleId, seq: list[RuleId]) -> int:
-        """Offset of the first rule in ``seq`` that ``x`` precedes, else ``len(seq)``.
-
-        Charges the queries of a front-to-back scan: j + 1 when it stops at
-        offset j, ``len(seq)`` when no rule matches.  The caller has checked
-        that ``x`` and the rules of ``seq`` are distinct rules of the universe.
-        """
-        if self._batched():
-            ranks = self.order.ranks
-            rx = ranks[x]
-            for y in seq:
-                if rx < ranks[y]:
-                    # The rules of seq are distinct, so index finds this y;
-                    # it is faster than counting in the loop.
-                    j = seq.index(y)
-                    self.query_count += j + 1
-                    return j
-            self.query_count += len(seq)
-            return len(seq)
-        precedes = self.precedes
-        j = 0
-        for y in seq:
-            if precedes(x, y):
-                return j
-            j += 1
-        return j
-
-    def _search(self, x: RuleId, seq: list[RuleId], lo: int, hi: int) -> int:
-        """Insertion point of ``x`` in ``seq[lo:hi]`` by halving; one query per probe.
-
-        Same precondition as ``_scan``.
-        """
-        if self._batched():
-            ranks = self.order.ranks
-            rx = ranks[x]
-            probes = 0
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if rx < ranks[seq[mid]]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-                probes += 1
-            self.query_count += probes
-            return lo
-        precedes = self.precedes
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if precedes(x, seq[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
 
 _STOCK_PRECEDES = CountingOracle.precedes
+
+
+# The per-query route: each finder asks ``oracle.precedes`` once per query,
+# in the order of a search over the concatenated chunks.
 
 
 def _block_position(
@@ -255,17 +211,14 @@ def _block_position(
 ) -> tuple[int, int]:
     """First position whose rule the newcomer precedes; end if none.
 
-    Scans one chunk per oracle call.  Returns (chunk index, offset in that
-    chunk).
+    Returns (chunk index, offset in that chunk).
     """
-    scan = oracle._scan
-    k = 0
-    for chunk in chunks:
-        j = scan(x, chunk)
-        if j < len(chunk):
-            return k, j
-        k += 1
-    return k - 1, j
+    precedes = oracle.precedes
+    for k, chunk in enumerate(chunks):
+        for j, y in enumerate(chunk):
+            if precedes(x, y):
+                return k, j
+    return len(chunks) - 1, len(chunks[-1])
 
 
 def _binary_position(
@@ -278,14 +231,14 @@ def _binary_position(
 
     Midpoints are taken over global positions, so the probes are those of a
     binary search over the concatenated chunks.  While the window spans
-    chunks klo..khi, each probe bisects ``starts`` for its chunk and asks
-    ``precedes``; once it lies in one chunk, one ``_search`` call finishes
-    on that plain list.  Returns (chunk index, offset in that chunk).
+    chunks klo..khi, each probe bisects ``starts`` for its chunk; once it
+    lies in one chunk, the search finishes on that plain list.  Returns
+    (chunk index, offset in that chunk).
     """
+    precedes = oracle.precedes
     k = len(chunks) - 1
     lo, hi = 0, starts[k] + len(chunks[k])
     if k:
-        precedes = oracle.precedes
         klo, khi = 0, k
         while klo < khi:
             mid = (lo + hi) // 2
@@ -300,7 +253,14 @@ def _binary_position(
         base = starts[k]
         lo -= base
         hi -= base
-    return k, oracle._search(x, chunks[k], lo, hi)
+    chunk = chunks[k]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if precedes(x, chunk[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return k, lo
 
 
 _POSITION_FINDERS: dict[str, Callable[..., tuple[int, int]]] = {
@@ -318,15 +278,43 @@ def _position_finder(strategy: str):
         ) from None
 
 
+# The batched route: what each strategy's search over m placed rules asks
+# to land a newcomer at position p.  learn_order inlines both formulas.
+
+
+def _block_cost(m: int, p: int) -> int:
+    """Queries of a front-to-back scan that stops at p: p + 1, or m at the end."""
+    return p + 1 if p < m else m
+
+
+def _binary_cost(m: int, p: int) -> int:
+    """Probes of a halving search over positions [0, m) that lands at p."""
+    lo, hi, probes = 0, m, 0
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if p <= mid:
+            hi = mid
+        else:
+            lo = mid + 1
+        probes += 1
+    return probes
+
+
+_QUERY_COSTS: dict[str, Callable[[int, int], int]] = {
+    STRATEGY_BLOCK: _block_cost,
+    STRATEGY_BINARY: _binary_cost,
+}
+
+
 def _is_sorted_by_rank(seq: Sequence[RuleId], order: GroundTruthOrder) -> bool:
     ranks = order.ranks
     return all(ranks[seq[i]] < ranks[seq[i + 1]] for i in range(len(seq) - 1))
 
 
-def _checked_insert(seq, x, oracle, finder):
+def _checked_insert(seq, x, oracle, strategy):
     n = oracle.order.n
     out = list(seq)
-    # The finder's batched route reads ranks unchecked, so every rule it
+    # The batched route reads ranks unchecked, so every rule the search
     # may compare is checked here, as precedes would check it.
     for rule in (x, *out):
         if not 0 <= rule < n:
@@ -335,8 +323,13 @@ def _checked_insert(seq, x, oracle, finder):
         raise DuplicateRuleError(f"rule {x} already placed")
     if not _is_sorted_by_rank(out, oracle.order):
         raise UnsortedSequenceError("input sequence not sorted by rank")
-    _, j = finder([out], [0], x, oracle)
-    out.insert(j, x)
+    if oracle._batched():
+        ranks = oracle.order.ranks
+        p = bisect_right(out, ranks[x], key=ranks.__getitem__)
+        oracle.query_count += _QUERY_COSTS[strategy](len(out), p)
+    else:
+        _, p = _POSITION_FINDERS[strategy]([out], [0], x, oracle)
+    out.insert(p, x)
     return out
 
 
@@ -349,7 +342,7 @@ def block_insert(
     accepting one, so inserting into i rules costs between 1 and i queries
     (0 for an empty sequence).  Returns a new list; ``seq`` is unchanged.
     """
-    return _checked_insert(seq, x, oracle, _block_position)
+    return _checked_insert(seq, x, oracle, STRATEGY_BLOCK)
 
 
 def binary_insert(
@@ -360,7 +353,7 @@ def binary_insert(
     Inserting into m rules costs at most ceil(log2(m + 1)) queries and,
     for m >= 1, at least floor(log2(m + 1)).  Returns a new list.
     """
-    return _checked_insert(seq, x, oracle, _binary_position)
+    return _checked_insert(seq, x, oracle, STRATEGY_BINARY)
 
 
 def learn_order(
@@ -379,14 +372,20 @@ def learn_order(
     rules, with ``starts`` holding each chunk's first global position.
     Placing a rule moves one chunk and bumps the later ``starts`` entries,
     so a run costs O(n * (``_CHUNK`` + n / ``_CHUNK``)) in placement instead
-    of the O(n^2) of one flat list.  The queries, their order and the
-    oracle's transcript are those of a search over one flat list.
+    of the O(n^2) of one flat list.
 
-    Each rule is placed with one oracle call per chunk it scans (block) or
-    one ``_search`` call after a few cross-chunk ``precedes`` probes
-    (binary), so a plain oracle answers without a Python call per query.
-    A recording oracle, or one whose ``precedes`` is replaced, is asked
-    every query through ``precedes`` (see ``CountingOracle``).
+    On a plain oracle (see ``CountingOracle``) the chunks hold ranks, and
+    ``maxes`` the largest rank of every chunk but the last, as in Grant
+    Jenks' ``sortedcontainers``.  Each rule's landing position p is found
+    by two C-level bisections (the chunk in ``maxes``, the offset in the
+    chunk), and the run is charged what the strategy's search over one flat
+    list would have asked to land at p: p + 1 queries for a scan that stops
+    there (m at the end of m placed rules), and the probe count of the
+    halving search for binary.  So a block run costs O(n log n) time for its
+    Theta(n^2) queries.  A recording oracle, or one whose ``precedes`` is
+    replaced, is asked every query through ``precedes``, in the order of a
+    search over one flat list.  Either way the learned sequence, the step
+    count and any transcript are those of the flat search.
     """
     finder = _position_finder(strategy)
     rules = list(universe)
@@ -398,8 +397,55 @@ def learn_order(
     for x in rules:
         if not 0 <= x < n_domain:
             raise InvalidQueryError(f"rule {x} outside universe of {n_domain} rules")
+    if not oracle._batched():
+        before = oracle.query_count
+        seq = _learn_by_queries(rules, oracle, finder)
+        return seq, model.steps(oracle.query_count - before, len(rules))
 
-    before = oracle.query_count
+    ranks = oracle.order.ranks
+    block = strategy == STRATEGY_BLOCK
+    half, limit = _CHUNK, 2 * _CHUNK
+    chunks: list[list[int]] = [[]]
+    starts = [0]
+    maxes: list[int] = []
+    last = queries = 0
+    rule_of = {}
+    for m, x in enumerate(rules):
+        rx = ranks[x]
+        rule_of[rx] = x
+        k = bisect_right(maxes, rx)
+        chunk = chunks[k]
+        j = bisect_right(chunk, rx)
+        p = starts[k] + j
+        # _block_cost and _binary_cost, inlined.
+        if block:
+            queries += p + 1 if p < m else m
+        else:
+            lo, hi = 0, m
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if p <= mid:
+                    hi = mid
+                else:
+                    lo = mid + 1
+                queries += 1
+        chunk.insert(j, rx)
+        if k < last:
+            for i in range(k + 1, last + 1):
+                starts[i] += 1
+        if len(chunk) > limit:
+            chunks.insert(k + 1, chunk[half:])
+            starts.insert(k + 1, starts[k] + half)
+            maxes.insert(k, chunk[half - 1])
+            del chunk[half:]
+            last += 1
+    oracle.query_count += queries
+    placed = chunks[0] if not last else chain.from_iterable(chunks)
+    return list(map(rule_of.__getitem__, placed)), model.steps(queries, len(rules))
+
+
+def _learn_by_queries(rules, oracle, finder) -> list[RuleId]:
+    """The per-query route of ``learn_order``: the same chunks, holding rules."""
     half, limit = _CHUNK, 2 * _CHUNK
     chunks: list[list[RuleId]] = [[]]
     starts = [0]
@@ -416,6 +462,4 @@ def learn_order(
             starts.insert(k + 1, starts[k] + half)
             del chunk[half:]
             last += 1
-    queries = oracle.query_count - before
-    seq = chunks[0] if not last else [rule for chunk in chunks for rule in chunk]
-    return seq, model.steps(queries, len(rules))
+    return chunks[0] if not last else [rule for chunk in chunks for rule in chunk]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -396,7 +397,9 @@ def assert_matches_reference(order, presentation, strategy):
     batched = CountingOracle(order)
     flat = CountingOracle(order, record=True)
     seq, steps = learn_order(presentation, chunked, strategy)
-    assert seq == reference_learn(presentation, flat, strategy) == order.true_sequence()
+    universe = set(presentation)
+    expected = [rule for rule in order.true_sequence() if rule in universe]
+    assert seq == reference_learn(presentation, flat, strategy) == expected
     assert steps == flat.query_count
     assert repr(chunked.transcript) == repr(flat.transcript)
     assert learn_order(presentation, batched, strategy) == (seq, steps)
@@ -472,10 +475,94 @@ class TestChunkedSequence:
             assert_matches_reference(GroundTruthOrder(tuple(ranks)), presentation, strategy)
 
 
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("chunk", [1, ordering._CHUNK])
+    def test_universe_is_a_strict_subset_of_the_domain(self, strategy, chunk, monkeypatch):
+        # Ranks of the universe are not 0..len - 1, so positions and ranks
+        # differ and the rank -> rule map must cover only the universe.
+        monkeypatch.setattr(ordering, "_CHUNK", chunk)
+        order = GroundTruthOrder.shuffled(50, random.Random(8))
+        for size in (1, 2, 7, 30):
+            presentation = random.Random(size).sample(range(50), size)
+            assert_matches_reference(order, presentation, strategy)
+
+
 # ----------------------------------------------------------------------
 # The batched route.  An oracle whose precedes is replaced anywhere must be
 # asked every query through the replacement; results never change.
 # ----------------------------------------------------------------------
+
+class TestQueryCosts:
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_cost_equals_flat_finder_queries(self, strategy):
+        # Landing at p among m placed rules costs what the flat search asks.
+        cost = ordering._QUERY_COSTS[strategy]
+        for m in range(65):
+            seq = [2 * i + 1 for i in range(m)]
+            order = GroundTruthOrder.identity(2 * m + 1)
+            for p in range(m + 1):
+                oracle = CountingOracle(order)
+                assert FLAT_FINDERS[strategy](seq, 2 * p, oracle) == p
+                assert cost(m, p) == oracle.query_count
+
+
+def _calls_to(function, run):
+    """Python-level calls of ``function`` while ``run()`` runs, via sys.setprofile."""
+    code = function.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+class TestRouteChoice:
+    order = GroundTruthOrder.shuffled(40, random.Random(10))
+    presentation = random.Random(11).sample(range(40), 40)
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("chunk", [2, ordering._CHUNK])
+    def test_only_a_recording_oracle_calls_precedes(self, strategy, chunk, monkeypatch):
+        monkeypatch.setattr(ordering, "_CHUNK", chunk)
+        for record in (False, True):
+            oracle = CountingOracle(self.order, record=record)
+            calls = _calls_to(
+                CountingOracle.precedes,
+                lambda: learn_order(self.presentation, oracle, strategy),
+            )
+            assert oracle.query_count > 0
+            assert calls == (oracle.query_count if record else 0)
+
+    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
+    def test_plain_insert_calls_no_precedes(self, insert):
+        oracle = CountingOracle(self.order)
+        seq = [rule for rule in self.order.true_sequence() if rule != 5]
+        calls = _calls_to(CountingOracle.precedes, lambda: insert(seq, 5, oracle))
+        assert oracle.query_count > 0 and calls == 0
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_route_is_chosen_once_per_call(self, record, monkeypatch):
+        monkeypatch.setattr(ordering, "_CHUNK", 2)
+        oracle = CountingOracle(self.order, record=record)
+        seq = self.order.true_sequence()[1:]
+        runs = [
+            lambda: learn_order(self.presentation, oracle, "block"),
+            lambda: learn_order(self.presentation, oracle, "binary"),
+            lambda: block_insert(seq, self.order.true_sequence()[0], oracle),
+            lambda: binary_insert(seq, self.order.true_sequence()[0], oracle),
+        ]
+        for run in runs:
+            assert _calls_to(CountingOracle._batched, run) == 1
+
 
 class _Tally:
     """Counts calls to the precedes it wraps."""
