@@ -27,10 +27,8 @@ from .ordering import (
     learn_order,
 )
 
-# Full enumeration costs n! runs with a fixed presentation order and n!^2
-# when presentation orders vary; these caps keep either mode desk-scale.
+# Full enumeration costs n! runs; this cap keeps it desk-scale.
 EXHAUSTIVE_CAP_FIXED = 8
-EXHAUSTIVE_CAP_VARY = 5
 
 # Generator recorded in summaries so identical seeds are comparable across
 # runs: Mersenne Twister driving a Fisher-Yates shuffle (random.shuffle).
@@ -63,7 +61,6 @@ class WorstCaseReport:
     strategy: str
     n: int
     mode: str
-    vary_presentation: bool
     cost_model: str
     max_steps: int
     ground_truth_ranks: tuple[int, ...]
@@ -136,42 +133,37 @@ def exhaustive_worst_case(
     n: int,
     strategy: str,
     model: CostModel = CostModel.COMPARISONS_ONLY,
-    vary_presentation: bool = False,
 ) -> WorstCaseReport:
-    """Enumerate every ground truth (and optionally every presentation order)
-    and return the maximum step count with the first instance attaining it.
+    """Enumerate every ground truth under the presentation order 0..n-1 and
+    return the maximum step count with the first ground truth attaining it.
+
+    Other presentation orders give the same maximum: over all ground truths,
+    each rule's landing position among the rules already placed is uniform
+    whatever the presentation (the inversion table, TAOCP vol. 3, 5.1.1).
     """
-    cap = EXHAUSTIVE_CAP_VARY if vary_presentation else EXHAUSTIVE_CAP_FIXED
     complexity._require_positive(n)
-    if n > cap:
+    if n > EXHAUSTIVE_CAP_FIXED:
         raise SizeLimitError(
-            f"exhaustive search with vary_presentation={vary_presentation} "
-            f"is capped at n = {cap}, got n = {n}"
+            f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {n}"
         )
 
-    presentations = (
-        itertools.permutations(range(n)) if vary_presentation else [tuple(range(n))]
-    )
+    presentation = tuple(range(n))
     best = -1
     best_ranks: tuple[int, ...] = ()
-    best_presentation: tuple[int, ...] = ()
-    for presentation in presentations:
-        for ranks in itertools.permutations(range(n)):
-            oracle = CountingOracle(GroundTruthOrder(ranks))
-            _, steps = learn_order(presentation, oracle, strategy, model)
-            if steps > best:
-                best = steps
-                best_ranks = ranks
-                best_presentation = presentation
+    for ranks in itertools.permutations(range(n)):
+        oracle = CountingOracle(GroundTruthOrder(ranks))
+        _, steps = learn_order(presentation, oracle, strategy, model)
+        if steps > best:
+            best = steps
+            best_ranks = ranks
     return WorstCaseReport(
         strategy=strategy,
         n=n,
         mode=MODE_EXHAUSTIVE,
-        vary_presentation=vary_presentation,
         cost_model=model.value,
         max_steps=best,
         ground_truth_ranks=best_ranks,
-        presentation=best_presentation,
+        presentation=presentation,
     )
 
 
@@ -210,7 +202,6 @@ def adversarial_worst_case(
         strategy=strategy,
         n=n,
         mode=MODE_ADVERSARIAL,
-        vary_presentation=False,
         cost_model=model.value,
         max_steps=result.steps,
         ground_truth_ranks=ground_truth.ranks,

@@ -27,11 +27,12 @@ STRATEGY_BLOCK = "block"
 STRATEGY_BINARY = "binary"
 STRATEGIES = (STRATEGY_BLOCK, STRATEGY_BINARY)
 
-# learn_order keeps the learned sequence in chunks of at most 2 * _CHUNK
-# rules and splits a chunk in half when it grows past that, so placing a
-# rule moves one chunk instead of the whole sequence.  Of 256 to 4096,
-# 768 to 2048 were fastest for n = 20,000 rules presented in reverse order,
-# and 1024 also for n = 300,000 shuffled (CPython 3.11, 2-vCPU x86-64).
+# On a plain oracle, learn_order keeps the learned sequence in chunks of at
+# most 2 * _CHUNK rules and splits a chunk in half when it grows past that,
+# so placing a rule moves one chunk instead of the whole sequence.  Of 256
+# to 4096, 768 to 2048 were fastest for n = 20,000 rules presented in
+# reverse order, and 1024 also for n = 300,000 shuffled (CPython 3.11,
+# 2-vCPU x86-64).
 _CHUNK = 1024
 
 
@@ -101,7 +102,11 @@ class CostModel(enum.Enum):
 
 def _require_permutation(values: tuple[int, ...], n: int, what: str) -> None:
     """Raise ``InvalidPermutationError`` unless ``values`` is a permutation of [0, n)."""
-    if sorted(values) != list(range(n)):
+    try:
+        ok = sorted(values) == list(range(n))
+    except TypeError:  # values of types that do not compare, such as ("a", 1)
+        ok = False
+    if not ok:
         raise InvalidPermutationError(
             f"{what} must be a permutation of 0..{n - 1}: {values!r}"
         )
@@ -159,9 +164,10 @@ class CountingOracle:
     class or on the instance), they find each landing place by bisecting
     the ranks already placed and add to ``query_count`` the queries the
     strategy's own search would have asked to land there, without calling
-    ``precedes``.  Otherwise they ask every query through ``self.precedes``,
-    so transcripts and wrapped or overridden ``precedes`` see every query.
-    Both routes charge the same count and learn the same sequence.
+    ``precedes``.  Otherwise they run that search over one flat list and
+    ask each of its queries through ``self.precedes``, so transcripts and
+    wrapped or overridden ``precedes`` see every query.  Both routes charge
+    the same count and learn the same sequence.
     """
 
     order: GroundTruthOrder
@@ -200,70 +206,33 @@ _STOCK_PRECEDES = CountingOracle.precedes
 
 
 # The per-query route: each finder asks ``oracle.precedes`` once per query,
-# in the order of a search over the concatenated chunks.
+# in the order of its search over one flat list of rules, and returns the
+# position where the newcomer belongs.
 
 
-def _block_position(
-    chunks: list[list[RuleId]],
-    starts: list[int],
-    x: RuleId,
-    oracle: CountingOracle,
-) -> tuple[int, int]:
-    """First position whose rule the newcomer precedes; end if none.
-
-    Returns (chunk index, offset in that chunk).
-    """
+def _block_position(seq: list[RuleId], x: RuleId, oracle: CountingOracle) -> int:
+    """First position whose rule the newcomer precedes; the end if none."""
     precedes = oracle.precedes
-    for k, chunk in enumerate(chunks):
-        for j, y in enumerate(chunk):
-            if precedes(x, y):
-                return k, j
-    return len(chunks) - 1, len(chunks[-1])
+    for j, y in enumerate(seq):
+        if precedes(x, y):
+            return j
+    return len(seq)
 
 
-def _binary_position(
-    chunks: list[list[RuleId]],
-    starts: list[int],
-    x: RuleId,
-    oracle: CountingOracle,
-) -> tuple[int, int]:
-    """Insertion point by halving the candidate window [lo, hi).
-
-    Midpoints are taken over global positions, so the probes are those of a
-    binary search over the concatenated chunks.  While the window spans
-    chunks klo..khi, each probe bisects ``starts`` for its chunk; once it
-    lies in one chunk, the search finishes on that plain list.  Returns
-    (chunk index, offset in that chunk).
-    """
+def _binary_position(seq: list[RuleId], x: RuleId, oracle: CountingOracle) -> int:
+    """Insertion point by halving the candidate window [lo, hi)."""
     precedes = oracle.precedes
-    k = len(chunks) - 1
-    lo, hi = 0, starts[k] + len(chunks[k])
-    if k:
-        klo, khi = 0, k
-        while klo < khi:
-            mid = (lo + hi) // 2
-            k = bisect_right(starts, mid, klo, khi + 1) - 1
-            base = starts[k]
-            if precedes(x, chunks[k][mid - base]):
-                hi, khi = mid, k
-            else:
-                lo = mid + 1
-                klo = k if lo < base + len(chunks[k]) else k + 1
-        k = khi
-        base = starts[k]
-        lo -= base
-        hi -= base
-    chunk = chunks[k]
+    lo, hi = 0, len(seq)
     while lo < hi:
         mid = (lo + hi) // 2
-        if precedes(x, chunk[mid]):
+        if precedes(x, seq[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return k, lo
+    return lo
 
 
-_POSITION_FINDERS: dict[str, Callable[..., tuple[int, int]]] = {
+_POSITION_FINDERS: dict[str, Callable[..., int]] = {
     STRATEGY_BLOCK: _block_position,
     STRATEGY_BINARY: _binary_position,
 }
@@ -306,19 +275,25 @@ _QUERY_COSTS: dict[str, Callable[[int, int], int]] = {
 }
 
 
+def _require_rules(rules: Iterable[RuleId], n: int) -> None:
+    """Raise ``InvalidQueryError`` unless every rule is an int in [0, n)."""
+    for rule in rules:
+        if type(rule) is not int:
+            raise InvalidQueryError(f"rule {rule!r} is not an int")
+        if not 0 <= rule < n:
+            raise InvalidQueryError(f"rule {rule} outside universe of {n} rules")
+
+
 def _is_sorted_by_rank(seq: Sequence[RuleId], order: GroundTruthOrder) -> bool:
     ranks = order.ranks
     return all(ranks[seq[i]] < ranks[seq[i + 1]] for i in range(len(seq) - 1))
 
 
 def _checked_insert(seq, x, oracle, strategy):
-    n = oracle.order.n
     out = list(seq)
     # The batched route reads ranks unchecked, so every rule the search
     # may compare is checked here, as precedes would check it.
-    for rule in (x, *out):
-        if not 0 <= rule < n:
-            raise InvalidQueryError(f"rule {rule} outside universe of {n} rules")
+    _require_rules((x, *out), oracle.order.n)
     if x in out:
         raise DuplicateRuleError(f"rule {x} already placed")
     if not _is_sorted_by_rank(out, oracle.order):
@@ -328,7 +303,7 @@ def _checked_insert(seq, x, oracle, strategy):
         p = bisect_right(out, ranks[x], key=ranks.__getitem__)
         oracle.query_count += _QUERY_COSTS[strategy](len(out), p)
     else:
-        _, p = _POSITION_FINDERS[strategy]([out], [0], x, oracle)
+        p = _POSITION_FINDERS[strategy](out, x, oracle)
     out.insert(p, x)
     return out
 
@@ -368,38 +343,40 @@ def learn_order(
     the learned sequence, sorted by hidden rank, and the run's step count
     under ``model``.
 
-    The sequence is built as a list of chunks of at most 2 * ``_CHUNK``
-    rules, with ``starts`` holding each chunk's first global position.
-    Placing a rule moves one chunk and bumps the later ``starts`` entries,
-    so a run costs O(n * (``_CHUNK`` + n / ``_CHUNK``)) in placement instead
-    of the O(n^2) of one flat list.
+    A recording oracle, or one whose ``precedes`` is replaced (see
+    ``CountingOracle``), is asked every query through ``precedes``: each
+    rule is placed by the strategy's search over one flat list of the rules
+    placed so far, a scan from the front for block and a halving search for
+    binary.  Placement then moves O(n^2) list entries in all.
 
-    On a plain oracle (see ``CountingOracle``) the chunks hold ranks, and
-    ``maxes`` the largest rank of every chunk but the last, as in Grant
-    Jenks' ``sortedcontainers``.  Each rule's landing position p is found
-    by two C-level bisections (the chunk in ``maxes``, the offset in the
-    chunk), and the run is charged what the strategy's search over one flat
-    list would have asked to land at p: p + 1 queries for a scan that stops
-    there (m at the end of m placed rules), and the probe count of the
-    halving search for binary.  So a block run costs O(n log n) time for its
-    Theta(n^2) queries.  A recording oracle, or one whose ``precedes`` is
-    replaced, is asked every query through ``precedes``, in the order of a
-    search over one flat list.  Either way the learned sequence, the step
-    count and any transcript are those of the flat search.
+    A plain oracle is asked nothing.  The sequence holds ranks, in chunks of
+    at most 2 * ``_CHUNK``, with ``starts`` holding each chunk's first
+    global position and ``maxes`` the largest rank of every chunk but the
+    last, as in Grant Jenks' ``sortedcontainers``.  Each rule's landing
+    position p is found by two C-level bisections (the chunk in ``maxes``,
+    the offset in the chunk), and the run is charged what the strategy's
+    flat search would have asked to land at p: p + 1 queries for a scan
+    that stops there (m at the end of m placed rules), and the probe count
+    of the halving search for binary.  Placing a rule moves one chunk and
+    bumps the later ``starts`` entries, so placement costs
+    O(n * (``_CHUNK`` + n / ``_CHUNK``)) instead of O(n^2), and a block run
+    on its worst case costs O(n log n) time for its Theta(n^2) queries.
+
+    Either way the learned sequence, the step count and any transcript are
+    those of the flat search.
     """
     finder = _position_finder(strategy)
     rules = list(universe)
     if not rules:
         raise EmptyUniverseError("cannot learn an order over zero rules")
+    _require_rules(rules, oracle.order.n)
     if len(set(rules)) != len(rules):
         raise DuplicateRuleError(f"universe contains duplicate rules: {rules!r}")
-    n_domain = oracle.order.n
-    for x in rules:
-        if not 0 <= x < n_domain:
-            raise InvalidQueryError(f"rule {x} outside universe of {n_domain} rules")
     if not oracle._batched():
         before = oracle.query_count
-        seq = _learn_by_queries(rules, oracle, finder)
+        seq: list[RuleId] = []
+        for x in rules:
+            seq.insert(finder(seq, x, oracle), x)
         return seq, model.steps(oracle.query_count - before, len(rules))
 
     ranks = oracle.order.ranks
@@ -442,24 +419,3 @@ def learn_order(
     oracle.query_count += queries
     placed = chunks[0] if not last else chain.from_iterable(chunks)
     return list(map(rule_of.__getitem__, placed)), model.steps(queries, len(rules))
-
-
-def _learn_by_queries(rules, oracle, finder) -> list[RuleId]:
-    """The per-query route of ``learn_order``: the same chunks, holding rules."""
-    half, limit = _CHUNK, 2 * _CHUNK
-    chunks: list[list[RuleId]] = [[]]
-    starts = [0]
-    last = 0
-    for x in rules:
-        k, j = finder(chunks, starts, x, oracle)
-        chunk = chunks[k]
-        chunk.insert(j, x)
-        if k < last:
-            for i in range(k + 1, last + 1):
-                starts[i] += 1
-        if len(chunk) > limit:
-            chunks.insert(k + 1, chunk[half:])
-            starts.insert(k + 1, starts[k] + half)
-            del chunk[half:]
-            last += 1
-    return chunks[0] if not last else [rule for chunk in chunks for rule in chunk]

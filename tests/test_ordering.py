@@ -57,7 +57,7 @@ class TestGroundTruthOrder:
         assert order.true_sequence() == [1, 2, 0]
         assert order.rank_of(1) == 0
 
-    @pytest.mark.parametrize("ranks", [(0, 0), (1, 2), (0, 2), (-1, 0)])
+    @pytest.mark.parametrize("ranks", [(0, 0), (1, 2), (0, 2), (-1, 0), ("a", 1)])
     def test_rejects_non_permutations(self, ranks):
         with pytest.raises(InvalidPermutationError):
             GroundTruthOrder(ranks)
@@ -357,8 +357,9 @@ def _queries_by_inserted_rule(transcript, presentation):
 
 
 # ----------------------------------------------------------------------
-# Chunked learned sequence.  learn_order keeps its sequence in chunks; the
-# flat-list loop below is the reference it must match query for query.
+# Chunked learned sequence.  On a plain oracle learn_order keeps its
+# sequence in chunks; the flat-list loop below is the reference both routes
+# must match query for query.
 # ----------------------------------------------------------------------
 
 def flat_block_position(seq, x, oracle):
@@ -393,15 +394,15 @@ def reference_learn(rules, oracle, strategy):
 def assert_matches_reference(order, presentation, strategy):
     # A recording oracle is asked every query through precedes; a plain one
     # takes the batched route.  Both must match the flat reference.
-    chunked = CountingOracle(order, record=True)
+    recording = CountingOracle(order, record=True)
     batched = CountingOracle(order)
     flat = CountingOracle(order, record=True)
-    seq, steps = learn_order(presentation, chunked, strategy)
+    seq, steps = learn_order(presentation, recording, strategy)
     universe = set(presentation)
     expected = [rule for rule in order.true_sequence() if rule in universe]
     assert seq == reference_learn(presentation, flat, strategy) == expected
     assert steps == flat.query_count
-    assert repr(chunked.transcript) == repr(flat.transcript)
+    assert repr(recording.transcript) == repr(flat.transcript)
     assert learn_order(presentation, batched, strategy) == (seq, steps)
     assert batched.query_count == flat.query_count
 
@@ -433,28 +434,6 @@ class TestChunkedSequence:
         rest = [r for r in range(n) if r not in first]
         rng.shuffle(rest)
         assert_matches_reference(order, presentation + rest, "block")
-
-    @pytest.mark.parametrize("strategy", ["block", "binary"])
-    def test_finders_on_every_chunk_layout(self, strategy):
-        # Every split of m <= 7 rules into chunks and every landing
-        # position, so search windows start and end on every boundary.
-        finder = ordering._POSITION_FINDERS[strategy]
-        for m in range(8):
-            seq = [2 * i + 1 for i in range(m)]
-            order = GroundTruthOrder.identity(2 * m + 1)
-            for cuts in itertools.product((False, True), repeat=max(m - 1, 0)):
-                bounds = [0] + [i + 1 for i, cut in enumerate(cuts) if cut] + [m]
-                chunks = [seq[a:b] for a, b in zip(bounds, bounds[1:])] or [[]]
-                starts = bounds[:-1] or [0]
-                for x in range(0, 2 * m + 1, 2):
-                    chunked = CountingOracle(order, record=True)
-                    batched = CountingOracle(order)
-                    flat = CountingOracle(order, record=True)
-                    k, j = finder(chunks, starts, x, chunked)
-                    assert starts[k] + j == FLAT_FINDERS[strategy](seq, x, flat) == x // 2
-                    assert chunked.transcript == flat.transcript
-                    assert finder(chunks, starts, x, batched) == (k, j)
-                    assert batched.query_count == flat.query_count
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -585,8 +564,9 @@ def _learn_both_strategies(order, presentation, oracle):
 
 
 class TestReplacedPrecedes:
-    # Chunks of at most 4 rules, so the binary finder probes across chunks
-    # and the block finder scans several chunks per rule.
+    # A replaced precedes takes the per-query route, which searches one flat
+    # list; _CHUNK = 2 shapes only the batched run that gives ``want``, so
+    # that run splits chunks many times.
     order = GroundTruthOrder.shuffled(40, random.Random(6))
     presentation = random.Random(7).sample(range(40), 40)
 
@@ -646,3 +626,24 @@ class TestInsertRoutes:
         with pytest.raises(InvalidQueryError):
             insert(seq, 0 if 0 not in seq else 2, oracle)
         assert oracle.query_count == 0
+
+
+class TestNonIntegerRules:
+    # Each once passed the range check and failed inside a learner with a
+    # bare TypeError.
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda oracle: learn_order([0.5], oracle, "block"),
+            lambda oracle: learn_order([0, 1.0], oracle, "binary"),
+            lambda oracle: block_insert([0], 1.5, oracle),
+            lambda oracle: binary_insert([], "a", oracle),
+        ],
+        ids=["learn-0.5", "learn-1.0", "block_insert-1.5", "binary_insert-a"],
+    )
+    def test_rejected_before_any_query(self, run, record):
+        oracle = oracle_for([0, 1, 2], record=record)
+        with pytest.raises(InvalidQueryError):
+            run(oracle)
+        assert oracle.query_count == 0 and oracle.transcript == []
