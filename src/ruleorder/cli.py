@@ -212,7 +212,7 @@ def _cmd_learn(args) -> int:
     from . import harness
 
     n = _positive_n(args)
-    model = CostModel.parse(args.cost_model)
+    model = CostModel(args.cost_model)
     presentation = list(range(n))
     if args.adversarial:
         ground_truth, presentation = harness.adversarial_ground_truth(n, args.strategy)
@@ -238,7 +238,7 @@ def _cmd_worst_case(args) -> int:
     from . import harness
 
     n = _positive_n(args)
-    model = CostModel.parse(args.cost_model)
+    model = CostModel(args.cost_model)
     if args.mode == harness.MODE_EXHAUSTIVE:
         report = harness.exhaustive_worst_case(n, args.strategy, model)
     else:

@@ -83,16 +83,6 @@ class CostModel(enum.Enum):
     COMPARISONS_ONLY = "comparisons"
     COMPARISONS_PLUS_PLACEMENT = "comparisons-plus-placement"
 
-    @classmethod
-    def parse(cls, text: str) -> "CostModel":
-        try:
-            return cls(text)
-        except ValueError:
-            choices = ", ".join(m.value for m in cls)
-            raise ValueError(
-                f"unknown cost model {text!r} (choose from: {choices})"
-            ) from None
-
     def steps(self, queries: int, n: int) -> int:
         """Step count for a full run of ``n`` rules that spent ``queries``."""
         if self is CostModel.COMPARISONS_PLUS_PLACEMENT:
@@ -158,16 +148,17 @@ class CountingOracle:
     With ``record=True`` every query is appended to ``transcript`` as
     ``(a, b, answer)``; recording is off by default to keep long runs lean.
 
-    ``learn_order`` and the public inserts ask ``_batched()`` once per call.
-    When nothing could tell the difference (the oracle is not recording and
-    its ``precedes`` is this class's own, not replaced on a subclass, on the
-    class or on the instance), they find each landing place by bisecting
-    the ranks already placed and add to ``query_count`` the queries the
+    Only ``learn_order`` asks ``_batched()``, once per call.  When nothing
+    could tell the difference (the oracle is not recording and its
+    ``precedes`` is this class's own, not replaced on a subclass, on the
+    class or on the instance), it finds each landing place by bisecting the
+    ranks already placed and adds to ``query_count`` the queries the
     strategy's own search would have asked to land there, without calling
-    ``precedes``.  Otherwise they run that search over one flat list and
-    ask each of its queries through ``self.precedes``, so transcripts and
-    wrapped or overridden ``precedes`` see every query.  Both routes charge
-    the same count and learn the same sequence.
+    ``precedes``.  Otherwise, and always in ``block_insert`` and
+    ``binary_insert``, that search runs over one flat list and asks each of
+    its queries through ``self.precedes``, so transcripts and wrapped or
+    overridden ``precedes`` see every query.  Both routes charge the same
+    count and learn the same sequence.
     """
 
     order: GroundTruthOrder
@@ -181,10 +172,15 @@ class CountingOracle:
         n = len(ranks)
         if a == b:
             raise InvalidQueryError(f"reflexive query for rule {a}")
-        if not 0 <= a < n or not 0 <= b < n:
-            raise InvalidQueryError(f"query ({a}, {b}) outside universe of {n} rules")
+        try:
+            if not 0 <= a < n or not 0 <= b < n:
+                raise InvalidQueryError(f"query ({a}, {b}) outside universe of {n} rules")
+            answer = ranks[a] < ranks[b]
+        except TypeError:  # a rule that is not an int, such as 0.5 or "a"
+            raise InvalidQueryError(
+                f"query ({a!r}, {b!r}) names a rule that is not an int"
+            ) from None
         self.query_count += 1
-        answer = ranks[a] < ranks[b]
         if self.record:
             self.transcript.append((a, b, answer))
         return answer
@@ -247,34 +243,6 @@ def _position_finder(strategy: str):
         ) from None
 
 
-# The batched route: what each strategy's search over m placed rules asks
-# to land a newcomer at position p.  learn_order inlines both formulas.
-
-
-def _block_cost(m: int, p: int) -> int:
-    """Queries of a front-to-back scan that stops at p: p + 1, or m at the end."""
-    return p + 1 if p < m else m
-
-
-def _binary_cost(m: int, p: int) -> int:
-    """Probes of a halving search over positions [0, m) that lands at p."""
-    lo, hi, probes = 0, m, 0
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if p <= mid:
-            hi = mid
-        else:
-            lo = mid + 1
-        probes += 1
-    return probes
-
-
-_QUERY_COSTS: dict[str, Callable[[int, int], int]] = {
-    STRATEGY_BLOCK: _block_cost,
-    STRATEGY_BINARY: _binary_cost,
-}
-
-
 def _require_rules(rules: Iterable[RuleId], n: int) -> None:
     """Raise ``InvalidQueryError`` unless every rule is an int in [0, n)."""
     for rule in rules:
@@ -291,20 +259,15 @@ def _is_sorted_by_rank(seq: Sequence[RuleId], order: GroundTruthOrder) -> bool:
 
 def _checked_insert(seq, x, oracle, strategy):
     out = list(seq)
-    # The batched route reads ranks unchecked, so every rule the search
-    # may compare is checked here, as precedes would check it.
+    # _is_sorted_by_rank reads every rank unchecked, and a block scan that
+    # stops early never queries a rule further on, so every rule is checked
+    # here, as precedes would check it.
     _require_rules((x, *out), oracle.order.n)
     if x in out:
         raise DuplicateRuleError(f"rule {x} already placed")
     if not _is_sorted_by_rank(out, oracle.order):
         raise UnsortedSequenceError("input sequence not sorted by rank")
-    if oracle._batched():
-        ranks = oracle.order.ranks
-        p = bisect_right(out, ranks[x], key=ranks.__getitem__)
-        oracle.query_count += _QUERY_COSTS[strategy](len(out), p)
-    else:
-        p = _POSITION_FINDERS[strategy](out, x, oracle)
-    out.insert(p, x)
+    out.insert(_POSITION_FINDERS[strategy](out, x, oracle), x)
     return out
 
 
@@ -394,7 +357,8 @@ def learn_order(
         chunk = chunks[k]
         j = bisect_right(chunk, rx)
         p = starts[k] + j
-        # _block_cost and _binary_cost, inlined.
+        # Charge what the flat search asks to land at p: a scan stops after
+        # p + 1 queries (m at the end), a halving search counts its probes.
         if block:
             queries += p + 1 if p < m else m
         else:
