@@ -26,13 +26,13 @@ _LOG10_2 = math.log10(2)
 
 
 def _require_positive(n: int) -> None:
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
 def ceil_log2(k: int) -> int:
     """Smallest integer >= log2(k), exact for arbitrarily large integers."""
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     return (k - 1).bit_length()
 

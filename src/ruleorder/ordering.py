@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 # A rule is identified by an integer index in [0, n).
@@ -27,12 +26,12 @@ STRATEGY_BLOCK = "block"
 STRATEGY_BINARY = "binary"
 STRATEGIES = (STRATEGY_BLOCK, STRATEGY_BINARY)
 
-# On a plain oracle, learn_order keeps the learned sequence in chunks of at
-# most 2 * _CHUNK rules and splits a chunk in half when it grows past that,
-# so placing a rule moves one chunk instead of the whole sequence.  Of 256
-# to 4096, 768 to 2048 were fastest for n = 20,000 rules presented in
-# reverse order, and 1024 also for n = 300,000 shuffled (CPython 3.11,
-# 2-vCPU x86-64).
+# On a plain oracle, learn_order keeps the placed ranks in buckets of
+# _CHUNK consecutive ranks, so placing a rule moves at most _CHUNK entries
+# instead of the whole sequence.  Of 512 to 4096, 1024 and 2048 were the
+# fastest, within noise of each other, for binary n = 20,000 presented in
+# reverse order, binary n = 10**6 shuffled and block n = 300,000
+# adversarial (CPython 3.11, shared 2-vCPU x86-64).
 _CHUNK = 1024
 
 
@@ -112,6 +111,9 @@ class GroundTruthOrder:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # 0.0 and True compare equal to the ranks 0 and 1; only their type tells.
+        if not set(map(type, self.ranks)) <= {int}:
+            raise InvalidPermutationError(f"ranks must be ints: {self.ranks!r}")
         _require_permutation(self.ranks, len(self.ranks), "ranks")
 
     @classmethod
@@ -151,14 +153,14 @@ class CountingOracle:
     Only ``learn_order`` asks ``_batched()``, once per call.  When nothing
     could tell the difference (the oracle is not recording and its
     ``precedes`` is this class's own, not replaced on a subclass, on the
-    class or on the instance), it finds each landing place by bisecting the
-    ranks already placed and adds to ``query_count`` the queries the
-    strategy's own search would have asked to land there, without calling
-    ``precedes``.  Otherwise, and always in ``block_insert`` and
-    ``binary_insert``, that search runs over one flat list and asks each of
-    its queries through ``self.precedes``, so transcripts and wrapped or
-    overridden ``precedes`` see every query.  Both routes charge the same
-    count and learn the same sequence.
+    class or on the instance), it finds each landing place from the ranks
+    already placed (a tree walk over rank buckets plus one bisection) and
+    adds to ``query_count`` the queries the strategy's own search would have
+    asked to land there, without calling ``precedes``.  Otherwise, and
+    always in ``block_insert`` and ``binary_insert``, that search runs over
+    one flat list and asks each of its queries through ``self.precedes``, so
+    transcripts and wrapped or overridden ``precedes`` see every query.
+    Both routes charge the same count and learn the same sequence.
     """
 
     order: GroundTruthOrder
@@ -312,18 +314,18 @@ def learn_order(
     placed so far, a scan from the front for block and a halving search for
     binary.  Placement then moves O(n^2) list entries in all.
 
-    A plain oracle is asked nothing.  The sequence holds ranks, in chunks of
-    at most 2 * ``_CHUNK``, with ``starts`` holding each chunk's first
-    global position and ``maxes`` the largest rank of every chunk but the
-    last, as in Grant Jenks' ``sortedcontainers``.  Each rule's landing
-    position p is found by two C-level bisections (the chunk in ``maxes``,
-    the offset in the chunk), and the run is charged what the strategy's
-    flat search would have asked to land at p: p + 1 queries for a scan
-    that stops there (m at the end of m placed rules), and the probe count
-    of the halving search for binary.  Placing a rule moves one chunk and
-    bumps the later ``starts`` entries, so placement costs
-    O(n * (``_CHUNK`` + n / ``_CHUNK``)) instead of O(n^2), and a block run
-    on its worst case costs O(n log n) time for its Theta(n^2) queries.
+    A plain oracle is asked nothing.  ``buckets[b]`` holds the placed ranks
+    in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a bucket never
+    grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick tree over bucket
+    lengths.  Each rule's landing position p is the count of placed ranks
+    in lower buckets (one O(log(n / ``_CHUNK``)) walk of ``below``) plus a
+    C-level bisection of its own bucket, and the run is charged what the
+    strategy's flat search would have asked to land at p: p + 1 queries for
+    a scan that stops there (m at the end of m placed rules), and the probe
+    count of the halving search for binary.  Placing a rule moves at most
+    ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``)) tree entries, so a
+    run costs O(n * (``_CHUNK`` + log n)) time whatever its query count, and
+    the learned sequence is the universe sorted by rank.
 
     Either way the learned sequence, the step count and any transcript are
     those of the flat search.
@@ -344,19 +346,22 @@ def learn_order(
 
     ranks = oracle.order.ranks
     block = strategy == STRATEGY_BLOCK
-    half, limit = _CHUNK, 2 * _CHUNK
-    chunks: list[list[int]] = [[]]
-    starts = [0]
-    maxes: list[int] = []
-    last = queries = 0
-    rule_of = {}
+    width = _CHUNK
+    size = (len(ranks) - 1) // width + 1
+    buckets: list[list[int]] = [[] for _ in range(size)]
+    # Fenwick tree over the lengths of every bucket but the last, which is
+    # never below another: below[i] sums buckets[i - (i & -i):i].
+    below = [0] * size
+    queries = 0
     for m, x in enumerate(rules):
         rx = ranks[x]
-        rule_of[rx] = x
-        k = bisect_right(maxes, rx)
-        chunk = chunks[k]
-        j = bisect_right(chunk, rx)
-        p = starts[k] + j
+        b = rx // width
+        bucket = buckets[b]
+        p = j = bisect_right(bucket, rx)
+        i = b
+        while i:  # p += placed ranks in buckets[:b]
+            p += below[i]
+            i &= i - 1
         # Charge what the flat search asks to land at p: a scan stops after
         # p + 1 queries (m at the end), a halving search counts its probes.
         if block:
@@ -370,16 +375,10 @@ def learn_order(
                 else:
                     lo = mid + 1
                 queries += 1
-        chunk.insert(j, rx)
-        if k < last:
-            for i in range(k + 1, last + 1):
-                starts[i] += 1
-        if len(chunk) > limit:
-            chunks.insert(k + 1, chunk[half:])
-            starts.insert(k + 1, starts[k] + half)
-            maxes.insert(k, chunk[half - 1])
-            del chunk[half:]
-            last += 1
+        bucket.insert(j, rx)
+        i = b + 1
+        while i < size:  # buckets[b] grew by one
+            below[i] += 1
+            i += i & -i
     oracle.query_count += queries
-    placed = chunks[0] if not last else chain.from_iterable(chunks)
-    return list(map(rule_of.__getitem__, placed)), model.steps(queries, len(rules))
+    return sorted(rules, key=ranks.__getitem__), model.steps(queries, len(rules))

@@ -40,8 +40,9 @@ class TestCeilLog2:
         assert ceil_log2(k) == ceil_log2_by_doubling(k)
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            ceil_log2(0)
+        for k in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                ceil_log2(k)
 
 
 class TestBlockSteps:
@@ -64,6 +65,9 @@ class TestBlockSteps:
     def test_rejects_zero(self, func):
         with pytest.raises(ValueError):
             func(0)
+        if func is block_steps_exact:  # only the library also rejects a non-int
+            with pytest.raises(ValueError):
+                func(2.5)
 
 
 class TestBinarySteps:
@@ -82,8 +86,9 @@ class TestBinarySteps:
             assert binary_steps(n) == running
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            binary_steps(0)
+        for n in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                binary_steps(n)
 
     def test_closed_form_equals_sum_to_20000(self):
         running = 0
@@ -119,8 +124,9 @@ class TestLogFactorial:
         assert fact.bit_length() - 1 <= log_factorial(n) <= fact.bit_length()
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            log_factorial(0)
+        for n in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                log_factorial(n)
 
 
 class TestBinaryStepsApprox:
@@ -159,8 +165,9 @@ class TestNaiveSteps:
         assert naive_steps(27) > 2**63
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            naive_steps(0)
+        for n in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                naive_steps(n)
 
 
 class TestScientific:
@@ -270,8 +277,9 @@ class TestReport:
         assert (rep.s_n, rep.b_n) == (500499, 8977)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            report(0)
+        for n in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                report(n)
 
     def test_broken_predictor_raises_invariant_error(self, monkeypatch):
         monkeypatch.setattr(complexity, "binary_steps", lambda n: n * n)

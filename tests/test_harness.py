@@ -122,8 +122,9 @@ class TestExhaustiveWorstCase:
             exhaustive_worst_case(9, "block")
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            exhaustive_worst_case(0, "block")
+        for n in (0, 2.5):
+            with pytest.raises(ValueError):
+                exhaustive_worst_case(n, "block")
 
     def test_deterministic_report(self):
         assert exhaustive_worst_case(4, "binary") == exhaustive_worst_case(4, "binary")
@@ -182,8 +183,9 @@ class TestAdversarialGroundTruth:
             adversarial_worst_case(4, strategy)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            adversarial_ground_truth(0, "binary")
+        for n in (0, 2.5):
+            with pytest.raises(ValueError):
+                adversarial_ground_truth(n, "binary")
 
     @pytest.mark.parametrize("m", range(0, 200))
     def test_front_position_has_maximal_search_depth(self, m):

@@ -42,7 +42,9 @@ class TestGroundTruthOrder:
         assert order.true_sequence() == [1, 2, 0]
         assert order.rank_of(1) == 0
 
-    @pytest.mark.parametrize("ranks", [(0, 0), (1, 2), (0, 2), (-1, 0), ("a", 1)])
+    @pytest.mark.parametrize(
+        "ranks", [(0, 0), (1, 2), (0, 2), (-1, 0), ("a", 1), (0.0, 1.0), (True, False)]
+    )
     def test_rejects_non_permutations(self, ranks):
         with pytest.raises(InvalidPermutationError):
             GroundTruthOrder(ranks)
@@ -347,9 +349,9 @@ def _queries_by_inserted_rule(transcript, presentation):
 
 
 # ----------------------------------------------------------------------
-# Chunked learned sequence.  On a plain oracle learn_order keeps its
-# sequence in chunks; the flat-list loop below is the reference both routes
-# must match query for query.
+# Bucketed learned sequence.  On a plain oracle learn_order keeps the placed
+# ranks in buckets of _CHUNK consecutive ranks; the flat-list loop below is
+# the reference both routes must match query for query.
 # ----------------------------------------------------------------------
 
 def flat_block_position(seq, x, oracle):
@@ -399,7 +401,8 @@ def assert_matches_reference(order, presentation, strategy):
 
 class TestChunkedSequence:
     def test_binary_across_many_chunks(self):
-        # more than three chunks of the largest size (2 * _CHUNK rules each)
+        # six full buckets and part of a seventh, filled from either end and
+        # in random order
         n = 3 * 2 * ordering._CHUNK + 101
         order = GroundTruthOrder.shuffled(n, random.Random(2))
         truth = order.true_sequence()
@@ -413,8 +416,8 @@ class TestChunkedSequence:
 
     def test_block_across_one_split(self):
         # 2 * _CHUNK + 1 rules presented in reverse true order cost one query
-        # each and split the first chunk; the rest land all over the
-        # sequence, so their scans cross the chunk boundary.
+        # each and spread over all three buckets; the rest land all over
+        # the sequence, so their scans cross bucket boundaries.
         size = 2 * ordering._CHUNK + 1
         n = size + 100
         order = GroundTruthOrder.shuffled(n, random.Random(4))
@@ -429,15 +432,18 @@ class TestChunkedSequence:
     @given(
         permutation_pairs(60),
         st.sampled_from(["block", "binary"]),
-        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=7),
     )
     @example((list(range(60)), list(range(60))), "binary", 1)
     @example((list(range(60)), list(range(59, -1, -1))), "binary", 1)
     @example((list(range(60)), list(range(60))), "block", 2)
     @example((list(range(60)), list(range(59, -1, -1))), "block", 3)
+    @example((list(range(60)), random.Random(12).sample(range(60), 60)), "binary", 7)
+    @example((list(range(59, -1, -1)), random.Random(13).sample(range(60), 60)), "block", 60)
     def test_small_chunks_match_flat_list(self, pair, strategy, chunk):
-        # The examples append every rule at the back and place every rule
-        # at the front.
+        # The first four examples append every rule at the back and place
+        # every rule at the front; the last two use a bucket width that does
+        # not divide 60 (a short last bucket) and one bucket for all ranks.
         ranks, presentation = pair
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ordering, "_CHUNK", chunk)
@@ -445,10 +451,10 @@ class TestChunkedSequence:
 
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
-    @pytest.mark.parametrize("chunk", [1, ordering._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, ordering._CHUNK])
     def test_universe_is_a_strict_subset_of_the_domain(self, strategy, chunk, monkeypatch):
         # Ranks of the universe are not 0..len - 1, so positions and ranks
-        # differ and the rank -> rule map must cover only the universe.
+        # differ, and buckets with no rule of the universe stay empty.
         monkeypatch.setattr(ordering, "_CHUNK", chunk)
         order = GroundTruthOrder.shuffled(50, random.Random(8))
         for size in (1, 2, 7, 30):
@@ -497,6 +503,8 @@ def _calls_to(function, run):
 
 
 class TestRouteChoice:
+    # _CHUNK = 2 spreads the 40 ranks over twenty buckets; the module's own
+    # width keeps them in one.
     order = GroundTruthOrder.shuffled(40, random.Random(10))
     presentation = random.Random(11).sample(range(40), 40)
 
@@ -552,7 +560,7 @@ def _learn_both_strategies(order, presentation, oracle):
 class TestReplacedPrecedes:
     # A replaced precedes takes the per-query route, which searches one flat
     # list; _CHUNK = 2 shapes only the batched run that gives ``want``, so
-    # that run splits chunks many times.
+    # that run spreads its ranks over twenty buckets.
     order = GroundTruthOrder.shuffled(40, random.Random(6))
     presentation = random.Random(7).sample(range(40), 40)
 
