@@ -25,7 +25,6 @@ _EXPORTS = {
         "speedup",
     ),
     "harness": (
-        "TableRow",
         "TrialResult",
         "TrialSummary",
         "WorstCaseReport",

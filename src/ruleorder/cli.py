@@ -38,6 +38,18 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 
+# The table's columns in order, each with how the human format prints it;
+# csv and json print the values themselves.
+TABLE_COLUMNS = (
+    ("n", str),
+    ("naive", complexity.scientific),
+    ("s_n", str),
+    ("b_n", str),
+    ("speedup", "{:.3f}".format),
+    ("block_years", "{:.2f}".format),
+    ("binary_years", "{:.2f}".format),
+)
+
 # Fields too large for native JSON numbers, emitted in csv and json as the
 # exact decimal digits in a string.  Formatting through Decimal avoids the
 # interpreter's int-to-str digit limit (4300 digits by default), which n!
@@ -159,8 +171,7 @@ def _dashed(values) -> str:
 # --------------------------------------------------------------------------
 
 def _positive_n(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be a positive integer, got {args.n}")
+    complexity._require_positive(args.n, "--n")
     return args.n
 
 
@@ -259,31 +270,16 @@ def _cmd_worst_case(args) -> int:
 def _cmd_table(args) -> int:
     from . import harness
 
-    rows = [asdict(row) for row in harness.comparison_table()]
-    if args.format == "human":
-        header = ("n", "naive", "s_n", "b_n", "speedup", "block_years", "binary_years")
-        rendered = [
-            (
-                str(row["n"]),
-                complexity.scientific(row["naive"]),
-                str(row["s_n"]),
-                str(row["b_n"]),
-                f"{row['speedup']:.3f}",
-                f"{row['block_years']:.2f}",
-                f"{row['binary_years']:.2f}",
-            )
-            for row in rows
-        ]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rendered))
-            for i in range(len(header))
-        ]
-        for line in (header, *rendered):
-            sys.stdout.write(
-                "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line)) + "\n"
-            )
-    else:
+    reports = harness.comparison_table()
+    if args.format != "human":
+        rows = [{key: getattr(r, key) for key, _ in TABLE_COLUMNS} for r in reports]
         _emit(rows, args.format, single=False)
+        return EXIT_OK
+    lines = [[key for key, _ in TABLE_COLUMNS]]
+    lines += [[show(getattr(r, key)) for key, show in TABLE_COLUMNS] for r in reports]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    for line in lines:
+        sys.stdout.write("  ".join(cell.rjust(w) for cell, w in zip(line, widths)) + "\n")
     return EXIT_OK
 
 

@@ -14,6 +14,9 @@ from .ordering import InvariantError
 
 DAYS_PER_YEAR = 365.25
 
+# The paper's rate for its comparison table: two steps a day.
+STEPS_PER_DAY = 2.0
+
 # Slack granted to the strict log2(n!) < B(n) bound, which floating
 # accumulation (and the exact tie at n = 2) would otherwise break.
 BOUND_RELATIVE_TOLERANCE = 1e-9
@@ -25,15 +28,14 @@ _GUARD = 12
 _LOG10_2 = math.log10(2)
 
 
-def _require_positive(n: int) -> None:
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+def _require_positive(value: int, name: str = "n") -> None:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def ceil_log2(k: int) -> int:
     """Smallest integer >= log2(k), exact for arbitrarily large integers."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _require_positive(k, "k")
     return (k - 1).bit_length()
 
 
@@ -83,6 +85,7 @@ def naive_steps(n: int) -> int:
 
 def speedup(n: int) -> float:
     """How many times fewer steps binary insertion needs than linear scan."""
+    _require_positive(n)
     if n < 2:
         raise ValueError(f"speedup needs n >= 2 (binary_steps({n}) is 0)")
     return block_steps_exact(n) / binary_steps(n)
@@ -110,8 +113,7 @@ def scientific(value: int, digits: int = 6) -> str:
     # Imported here: commands that print no e-notation never load decimal.
     from decimal import Context, Decimal
 
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _require_positive(digits, "digits")
     context = Context(prec=digits)
     drop = int(abs(value).bit_length() * _LOG10_2) - digits - _GUARD
     if drop <= 0:
@@ -126,6 +128,8 @@ class ComplexityReport:
     """All predictor outputs for one universe size.
 
     ``speedup`` is None at n = 1, where binary insertion needs zero queries.
+    ``block_years`` and ``binary_years`` are properties, not fields, so
+    ``dataclasses.asdict`` gives the predictors alone.
     """
 
     n: int
@@ -153,16 +157,26 @@ class ComplexityReport:
                 f" (s_n = {self.s_n}, b_n = {b_n}, log2(n!) = {lf!r})"
             )
 
+    @property
+    def block_years(self) -> float:
+        """Years that linear scan's s_n steps take at ``STEPS_PER_DAY``."""
+        return learning_duration(self.s_n, STEPS_PER_DAY)
+
+    @property
+    def binary_years(self) -> float:
+        """Years that binary insertion's b_n steps take at ``STEPS_PER_DAY``."""
+        return learning_duration(self.b_n, STEPS_PER_DAY)
+
 
 def report(n: int) -> ComplexityReport:
     """Evaluate every predictor at ``n``."""
-    _require_positive(n)
+    log2_factorial = log_factorial(n)
     return ComplexityReport(
         n=n,
         s_n=block_steps_exact(n),
         b_n=binary_steps(n),
-        b_f_n=binary_steps_approx(n),
-        log_factorial=log_factorial(n),
+        b_f_n=math.ceil(log2_factorial),
+        log_factorial=log2_factorial,
         speedup=speedup(n) if n >= 2 else None,
         naive=naive_steps(n),
     )

@@ -34,7 +34,6 @@ EXHAUSTIVE_CAP_FIXED = 8
 # runs: Mersenne Twister driving a Fisher-Yates shuffle (random.shuffle).
 RNG_ALGORITHM = "mt19937-fisher-yates"
 
-TABLE_STEPS_PER_DAY = 2.0
 TABLE_SIZES = (27, 1000)
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -82,19 +81,6 @@ class TrialSummary:
     max_queries: int
     mean_queries: float
     all_correct: bool
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """Predictor comparison for one universe size at two steps per day."""
-
-    n: int
-    naive: int
-    s_n: int
-    b_n: int
-    speedup: float
-    block_years: float
-    binary_years: float
 
 
 def run_trial(
@@ -223,8 +209,7 @@ def random_trials(
     requested, presentation orders) are drawn from one deterministic stream.
     """
     complexity._require_positive(n)
-    if trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials}")
+    complexity._require_positive(trials, "trials")
 
     rng = random.Random(seed)
     counts: list[int] = []
@@ -255,21 +240,6 @@ def random_trials(
     )
 
 
-def comparison_table(sizes: tuple[int, ...] = TABLE_SIZES) -> list[TableRow]:
-    """Predictor comparison rows for the standard showcase sizes."""
-    rows = []
-    for n in sizes:
-        s_n = complexity.block_steps_exact(n)
-        b_n = complexity.binary_steps(n)
-        rows.append(
-            TableRow(
-                n=n,
-                naive=complexity.naive_steps(n),
-                s_n=s_n,
-                b_n=b_n,
-                speedup=s_n / b_n,
-                block_years=complexity.learning_duration(s_n, TABLE_STEPS_PER_DAY),
-                binary_years=complexity.learning_duration(b_n, TABLE_STEPS_PER_DAY),
-            )
-        )
-    return rows
+def comparison_table() -> list[complexity.ComplexityReport]:
+    """Predictor reports for the paper's showcase sizes, ``TABLE_SIZES``."""
+    return [complexity.report(n) for n in TABLE_SIZES]

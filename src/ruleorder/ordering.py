@@ -153,14 +153,11 @@ class CountingOracle:
     Only ``learn_order`` asks ``_batched()``, once per call.  When nothing
     could tell the difference (the oracle is not recording and its
     ``precedes`` is this class's own, not replaced on a subclass, on the
-    class or on the instance), it finds each landing place from the ranks
-    already placed (a tree walk over rank buckets plus one bisection) and
-    adds to ``query_count`` the queries the strategy's own search would have
-    asked to land there, without calling ``precedes``.  Otherwise, and
-    always in ``block_insert`` and ``binary_insert``, that search runs over
-    one flat list and asks each of its queries through ``self.precedes``, so
-    transcripts and wrapped or overridden ``precedes`` see every query.
-    Both routes charge the same count and learn the same sequence.
+    class or on the instance), ``learn_order`` calls no ``precedes`` and
+    adds to ``query_count`` the queries the strategy's search would have
+    asked.  Otherwise, and always in ``block_insert`` and ``binary_insert``,
+    every query goes through ``self.precedes``, so transcripts and wrapped
+    or overridden ``precedes`` see each one.
     """
 
     order: GroundTruthOrder
@@ -308,24 +305,24 @@ def learn_order(
     the learned sequence, sorted by hidden rank, and the run's step count
     under ``model``.
 
-    A recording oracle, or one whose ``precedes`` is replaced (see
-    ``CountingOracle``), is asked every query through ``precedes``: each
+    When ``oracle._batched()`` is false (``CountingOracle`` says when), each
     rule is placed by the strategy's search over one flat list of the rules
     placed so far, a scan from the front for block and a halving search for
-    binary.  Placement then moves O(n^2) list entries in all.
+    binary, asking every query.  Placement then moves O(n^2) list entries
+    in all.
 
-    A plain oracle is asked nothing.  ``buckets[b]`` holds the placed ranks
-    in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a bucket never
-    grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick tree over bucket
-    lengths.  Each rule's landing position p is the count of placed ranks
-    in lower buckets (one O(log(n / ``_CHUNK``)) walk of ``below``) plus a
-    C-level bisection of its own bucket, and the run is charged what the
-    strategy's flat search would have asked to land at p: p + 1 queries for
-    a scan that stops there (m at the end of m placed rules), and the probe
-    count of the halving search for binary.  Placing a rule moves at most
-    ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``)) tree entries, so a
-    run costs O(n * (``_CHUNK`` + log n)) time whatever its query count, and
-    the learned sequence is the universe sorted by rank.
+    Otherwise the oracle is asked nothing.  ``buckets[b]`` holds the placed
+    ranks in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a bucket
+    never grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick tree over
+    bucket lengths.  Each rule's landing position p is the count of placed
+    ranks in lower buckets (one O(log(n / ``_CHUNK``)) walk of ``below``)
+    plus a C-level bisection of its own bucket, and the run is charged what
+    the strategy's flat search would have asked to land at p: p + 1 queries
+    for a scan that stops there (m at the end of m placed rules), and the
+    probe count of the halving search for binary.  Placing a rule moves at
+    most ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``)) tree entries,
+    so a run costs O(n * (``_CHUNK`` + log n)) time whatever its query
+    count, and the learned sequence is the universe sorted by rank.
 
     Either way the learned sequence, the step count and any transcript are
     those of the flat search.

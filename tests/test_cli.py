@@ -86,7 +86,7 @@ class TestPredict:
     def test_zero_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--n", "0")
         assert code == 1
-        assert "error" in err
+        assert err == "error: --n must be a positive integer, got 0\n"
 
     def test_non_numeric_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--n", "abc")
@@ -96,6 +96,10 @@ class TestPredict:
     def test_csv_json_round_trip(self, capsys):
         assert_csv_json_agree(capsys, "predict", "--n", "27")
         assert_csv_json_agree(capsys, "predict", "--n", "1")
+        # The report's block_years and binary_years are properties, and only
+        # the table prints them.
+        _, out, _ = run_cli(capsys, "predict", "--n", "27", "--format", "csv")
+        assert out.splitlines()[0] == "n,s_n,b_n,b_f_n,log_factorial,speedup,naive"
 
     def test_human_naive_past_decimal_exponent_limit(self, capsys):
         # n! has 1,026,468 digits here, past the 10**999999 a default
@@ -106,9 +110,11 @@ class TestPredict:
 
     def test_broken_predictor_is_invariant_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(complexity, "binary_steps", lambda n: n * n)
-        code, out, err = run_cli(capsys, "predict", "--n", "27")
-        assert (code, out) == (2, "")
-        assert "b_n < n log2" in err
+        tables = [["table", "--format", fmt] for fmt in cli.FORMATS]
+        for argv in [["predict", "--n", "27"], *tables]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "b_n < n log2" in err
 
     @pytest.mark.parametrize("n", [1559, 2000])
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])

@@ -184,6 +184,11 @@ class TestScientific:
     def test_digit_control(self):
         assert scientific(naive_steps(27), digits=3) == "1.09e+28"
 
+    def test_rejects_non_positive_digits(self):
+        for digits in (0, 2.5, True):
+            with pytest.raises(ValueError, match="digits must be a positive integer"):
+                scientific(10, digits)
+
     @settings(max_examples=300)
     @given(
         st.integers(min_value=-(2**3000), max_value=2**3000),
@@ -237,8 +242,9 @@ class TestSpeedup:
         assert speedup(2) == 2.0
 
     def test_rejects_n_below_2(self):
-        with pytest.raises(ValueError):
-            speedup(1)
+        for n in (1, 0, "a", 2.5):
+            with pytest.raises(ValueError):
+                speedup(n)
 
 
 class TestLearningDuration:

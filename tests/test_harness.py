@@ -16,6 +16,7 @@ from ruleorder import (
     adversarial_worst_case,
     binary_steps,
     block_steps_exact,
+    complexity,
     exhaustive_worst_case,
     harness,
     random_trials,
@@ -238,8 +239,9 @@ class TestRandomTrials:
         assert summary.trials == 3
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            random_trials(5, "block", 0, seed=1)
+        for trials in (0, 2.5, "3", True):
+            with pytest.raises(ValueError, match="trials must be a positive integer"):
+                random_trials(5, "block", trials, seed=1)
 
     def test_rejects_zero_rules(self):
         with pytest.raises(ValueError):
@@ -260,6 +262,7 @@ class TestComparisonTable:
     def test_row_sizes(self):
         rows = comparison_table()
         assert [row.n for row in rows] == [27, 1000]
+        assert rows == [complexity.report(27), complexity.report(1000)]
 
     def test_row_27(self):
         row = comparison_table()[0]

@@ -100,3 +100,4 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         ruleorder.no_such_name
     assert not hasattr(ruleorder, "block_steps_sum")
+    assert not hasattr(ruleorder, "TableRow")
