@@ -293,18 +293,26 @@ def build_parser() -> _Parser:
         description="Learn a hidden total order over rules by counted pairwise queries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options that several commands share, each declared once.
+    shared = {
+        "--n": dict(type=int, required=True),
+        "--strategy": dict(choices=STRATEGIES, required=True),
+        "--cost-model": dict(
+            choices=[m.value for m in CostModel], default=CostModel.COMPARISONS_ONLY.value
+        ),
+        "--format": dict(choices=FORMATS, default="human"),
+    }
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="human")
+    def add(p, *options):
+        for option in options:
+            p.add_argument(option, **shared[option])
+        return p
 
     p_predict = sub.add_parser("predict", help="closed-form step predictors for one n")
-    p_predict.add_argument("--n", type=int, required=True)
-    add_format(p_predict)
-    p_predict.set_defaults(func=_cmd_predict)
+    add(p_predict, "--n", "--format").set_defaults(func=_cmd_predict)
 
     p_learn = sub.add_parser("learn", help="run one learning trial")
-    p_learn.add_argument("--n", type=int, required=True)
-    p_learn.add_argument("--strategy", choices=STRATEGIES, required=True)
+    add(p_learn, "--n", "--strategy")
     instance = p_learn.add_mutually_exclusive_group(required=True)
     instance.add_argument("--seed", type=int, help="random ground truth from this seed")
     instance.add_argument(
@@ -315,33 +323,15 @@ def build_parser() -> _Parser:
         "--adversarial", action="store_true",
         help="use the instance attaining the strategy's worst case",
     )
-    p_learn.add_argument(
-        "--cost-model",
-        choices=[m.value for m in CostModel],
-        default=CostModel.COMPARISONS_ONLY.value,
-    )
-    add_format(p_learn)
-    p_learn.set_defaults(func=_cmd_learn)
+    add(p_learn, "--cost-model", "--format").set_defaults(func=_cmd_learn)
 
     p_worst = sub.add_parser("worst-case", help="maximum step count for one n")
-    p_worst.add_argument("--n", type=int, required=True)
-    p_worst.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p_worst.add_argument(
-        "--mode",
-        choices=WORST_CASE_MODES,
-        required=True,
-    )
-    p_worst.add_argument(
-        "--cost-model",
-        choices=[m.value for m in CostModel],
-        default=CostModel.COMPARISONS_ONLY.value,
-    )
-    add_format(p_worst)
-    p_worst.set_defaults(func=_cmd_worst_case)
+    add(p_worst, "--n", "--strategy")
+    p_worst.add_argument("--mode", choices=WORST_CASE_MODES, required=True)
+    add(p_worst, "--cost-model", "--format").set_defaults(func=_cmd_worst_case)
 
     p_table = sub.add_parser("table", help="predictor comparison for n = 27 and 1000")
-    add_format(p_table)
-    p_table.set_defaults(func=_cmd_table)
+    add(p_table, "--format").set_defaults(func=_cmd_table)
 
     return parser
 

@@ -93,11 +93,12 @@ def speedup(n: int) -> float:
 
 def learning_duration(steps: int, steps_per_day: float) -> float:
     """Years needed to spend ``steps`` at a rate of ``steps_per_day``."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    if steps_per_day <= 0:
-        raise ValueError(f"steps_per_day must be positive, got {steps_per_day}")
-    return steps / steps_per_day / DAYS_PER_YEAR
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    rate = steps_per_day
+    if type(rate) is bool or not isinstance(rate, (int, float)) or not rate > 0:
+        raise ValueError(f"steps_per_day must be a positive number, got {rate!r}")
+    return steps / rate / DAYS_PER_YEAR
 
 
 def scientific(value: int, digits: int = 6) -> str:
@@ -114,6 +115,8 @@ def scientific(value: int, digits: int = 6) -> str:
     from decimal import Context, Decimal
 
     _require_positive(digits, "digits")
+    if type(value) is not int:
+        raise ValueError(f"value must be an integer, got {value!r}")
     context = Context(prec=digits)
     drop = int(abs(value).bit_length() * _LOG10_2) - digits - _GUARD
     if drop <= 0:
@@ -142,9 +145,16 @@ class ComplexityReport:
 
     def __post_init__(self) -> None:
         n, b_n, lf = self.n, self.b_n, self.log_factorial
-        checks = [("s_n = (n^2 - n)/2 + n - 1", self.s_n == (n * n - n) // 2 + n - 1)]
+        slack = BOUND_RELATIVE_TOLERANCE * max(1.0, lf)
+        bits = self.naive.bit_length()  # 2**(bits - 1) <= n! < 2**bits
+        checks = [
+            ("s_n = (n^2 - n)/2 + n - 1", self.s_n == (n * n - n) // 2 + n - 1),
+            ("bit_length(naive) - 1 <= log2(n!) < bit_length(naive)",
+             bits - 1 - slack <= lf < bits + slack),
+            ("b_f_n = ceil(log2(n!))", self.b_f_n == math.ceil(lf)),
+            ("speedup = s_n / b_n", self.speedup == (self.s_n / b_n if n >= 2 else None)),
+        ]
         if n >= 2:
-            slack = BOUND_RELATIVE_TOLERANCE * max(1.0, lf)
             checks += [
                 ("log2(n!) <= b_n", lf <= b_n + slack),
                 ("b_n < log2(n!) + n", b_n < lf + n),

@@ -2,8 +2,8 @@
 
 Instances come in three flavours: exhaustive (every permutation, small n),
 adversarial (constructions that attain the worst-case formulas), and random
-(seeded unbiased shuffles).  Every run uses a fresh counting oracle, so
-trials share nothing and can be executed in any order.
+(seeded unbiased shuffles).  Each driver call uses counting oracles of its
+own, so calls share nothing and can be executed in any order.
 """
 
 from __future__ import annotations
@@ -126,6 +126,12 @@ def exhaustive_worst_case(
     Other presentation orders give the same maximum: over all ground truths,
     each rule's landing position among the rules already placed is uniform
     whatever the presentation (the inversion table, TAOCP vol. 3, 5.1.1).
+
+    The search runs every instance on one identity oracle.  Relabelling
+    each rule i as its rank turns ground truth ``ranks`` under presentation
+    0..n-1 into the identity order under presentation ``ranks``: every query
+    (i, j) becomes (ranks[i], ranks[j]) with the same answer, so each run
+    asks as many queries as the original instance.
     """
     complexity._require_positive(n)
     if n > EXHAUSTIVE_CAP_FIXED:
@@ -133,12 +139,11 @@ def exhaustive_worst_case(
             f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {n}"
         )
 
-    presentation = tuple(range(n))
+    oracle = CountingOracle(GroundTruthOrder.identity(n))
     best = -1
     best_ranks: tuple[int, ...] = ()
     for ranks in itertools.permutations(range(n)):
-        oracle = CountingOracle(GroundTruthOrder(ranks))
-        _, steps = learn_order(presentation, oracle, strategy, model)
+        _, steps = learn_order(ranks, oracle, strategy, model)
         if steps > best:
             best = steps
             best_ranks = ranks
@@ -149,7 +154,7 @@ def exhaustive_worst_case(
         cost_model=model.value,
         max_steps=best,
         ground_truth_ranks=best_ranks,
-        presentation=presentation,
+        presentation=tuple(range(n)),
     )
 
 
@@ -214,17 +219,15 @@ def random_trials(
     rng = random.Random(seed)
     counts: list[int] = []
     all_correct = True
-    for index in range(trials):
+    for _ in range(trials):
         ground_truth = GroundTruthOrder.shuffled(n, rng)
         presentation = list(range(n))
         if shuffle_presentation:
             rng.shuffle(presentation)
-        result = run_trial(
-            n, strategy, ground_truth, presentation, model,
-            source=f"seed={seed}/trial={index}",
-        )
-        counts.append(result.queries)
-        all_correct = all_correct and result.correct
+        oracle = CountingOracle(ground_truth)
+        learned = learn_order(presentation, oracle, strategy, model)[0]
+        counts.append(oracle.query_count)
+        all_correct = all_correct and learned == ground_truth.true_sequence()
     return TrialSummary(
         strategy=strategy,
         n=n,

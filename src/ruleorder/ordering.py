@@ -90,12 +90,12 @@ class CostModel(enum.Enum):
 
 
 def _require_permutation(values: tuple[int, ...], n: int, what: str) -> None:
-    """Raise ``InvalidPermutationError`` unless ``values`` is a permutation of [0, n)."""
-    try:
-        ok = sorted(values) == list(range(n))
-    except TypeError:  # values of types that do not compare, such as ("a", 1)
-        ok = False
-    if not ok:
+    """Raise ``InvalidPermutationError`` unless ``values`` is a permutation of [0, n).
+
+    Every value must be an ``int`` exactly: 0.0 and True compare equal to 0
+    and 1, and only their type tells.  Values that are all ints always sort.
+    """
+    if list(map(type, values)).count(int) != len(values) or sorted(values) != list(range(n)):
         raise InvalidPermutationError(
             f"{what} must be a permutation of 0..{n - 1}: {values!r}"
         )
@@ -111,9 +111,6 @@ class GroundTruthOrder:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # 0.0 and True compare equal to the ranks 0 and 1; only their type tells.
-        if not set(map(type, self.ranks)) <= {int}:
-            raise InvalidPermutationError(f"ranks must be ints: {self.ranks!r}")
         _require_permutation(self.ranks, len(self.ranks), "ranks")
 
     @classmethod
@@ -167,18 +164,17 @@ class CountingOracle:
 
     def precedes(self, a: RuleId, b: RuleId) -> bool:
         """True iff rule ``a`` applies before rule ``b``. Costs one query."""
+        # The rules _require_rules accepts: exact ints in [0, n), so True,
+        # 0.5 and "a" are rejected, and nothing is charged for them.
+        if type(a) is not int or type(b) is not int:
+            raise InvalidQueryError(f"query ({a!r}, {b!r}) names a rule that is not an int")
         ranks = self.order.ranks
         n = len(ranks)
         if a == b:
             raise InvalidQueryError(f"reflexive query for rule {a}")
-        try:
-            if not 0 <= a < n or not 0 <= b < n:
-                raise InvalidQueryError(f"query ({a}, {b}) outside universe of {n} rules")
-            answer = ranks[a] < ranks[b]
-        except TypeError:  # a rule that is not an int, such as 0.5 or "a"
-            raise InvalidQueryError(
-                f"query ({a!r}, {b!r}) names a rule that is not an int"
-            ) from None
+        if not 0 <= a < n or not 0 <= b < n:
+            raise InvalidQueryError(f"query ({a}, {b}) outside universe of {n} rules")
+        answer = ranks[a] < ranks[b]
         self.query_count += 1
         if self.record:
             self.transcript.append((a, b, answer))
@@ -242,13 +238,16 @@ def _position_finder(strategy: str):
         ) from None
 
 
-def _require_rules(rules: Iterable[RuleId], n: int) -> None:
-    """Raise ``InvalidQueryError`` unless every rule is an int in [0, n)."""
+def _require_rules(rules: Sequence[RuleId], n: int) -> None:
+    """Raise ``InvalidQueryError`` unless every rule is an int in [0, n), and
+    then ``DuplicateRuleError`` if a rule appears more than once."""
     for rule in rules:
         if type(rule) is not int:
             raise InvalidQueryError(f"rule {rule!r} is not an int")
         if not 0 <= rule < n:
             raise InvalidQueryError(f"rule {rule} outside universe of {n} rules")
+    if len(set(rules)) != len(rules):
+        raise DuplicateRuleError(f"rules repeat: {rules!r}")
 
 
 def _is_sorted_by_rank(seq: Sequence[RuleId], order: GroundTruthOrder) -> bool:
@@ -262,8 +261,6 @@ def _checked_insert(seq, x, oracle, strategy):
     # stops early never queries a rule further on, so every rule is checked
     # here, as precedes would check it.
     _require_rules((x, *out), oracle.order.n)
-    if x in out:
-        raise DuplicateRuleError(f"rule {x} already placed")
     if not _is_sorted_by_rank(out, oracle.order):
         raise UnsortedSequenceError("input sequence not sorted by rank")
     out.insert(_POSITION_FINDERS[strategy](out, x, oracle), x)
@@ -332,8 +329,6 @@ def learn_order(
     if not rules:
         raise EmptyUniverseError("cannot learn an order over zero rules")
     _require_rules(rules, oracle.order.n)
-    if len(set(rules)) != len(rules):
-        raise DuplicateRuleError(f"universe contains duplicate rules: {rules!r}")
     if not oracle._batched():
         before = oracle.query_count
         seq: list[RuleId] = []

@@ -116,6 +116,14 @@ class TestPredict:
             assert (code, out) == (2, ""), argv
             assert "b_n < n log2" in err
 
+    def test_broken_naive_is_invariant_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(complexity, "naive_steps", lambda n: 7)
+        for fmt in cli.FORMATS:
+            for argv in (["predict", "--n", "27"], ["table"]):
+                code, out, err = run_cli(capsys, *argv, "--format", fmt)
+                assert (code, out) == (2, ""), (argv, fmt)
+                assert "bit_length(naive)" in err
+
     @pytest.mark.parametrize("n", [1559, 2000])
     @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
     def test_naive_past_int_str_digit_limit(self, capsys, n, fmt):

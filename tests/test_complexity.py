@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -189,6 +191,11 @@ class TestScientific:
             with pytest.raises(ValueError, match="digits must be a positive integer"):
                 scientific(10, digits)
 
+    @pytest.mark.parametrize("value", [2.5, "a", True])
+    def test_rejects_values_that_are_not_ints(self, value):
+        with pytest.raises(ValueError, match="value must be an integer"):
+            scientific(value)
+
     @settings(max_examples=300)
     @given(
         st.integers(min_value=-(2**3000), max_value=2**3000),
@@ -265,6 +272,16 @@ class TestLearningDuration:
         with pytest.raises(ValueError):
             learning_duration(-1, 2)
 
+    @pytest.mark.parametrize("steps", [2.5, "a", True])
+    def test_rejects_steps_that_are_not_ints(self, steps):
+        with pytest.raises(ValueError, match="steps must be a non-negative integer"):
+            learning_duration(steps, 2)
+
+    @pytest.mark.parametrize("rate", ["a", True, None, float("nan")])
+    def test_rejects_rates_that_are_not_positive_numbers(self, rate):
+        with pytest.raises(ValueError, match="steps_per_day must be a positive number"):
+            learning_duration(10, rate)
+
 
 class TestReport:
     def test_values_at_27(self):
@@ -291,6 +308,21 @@ class TestReport:
         monkeypatch.setattr(complexity, "binary_steps", lambda n: n * n)
         with pytest.raises(InvariantError, match="b_n < n log2"):
             report(27)
+
+    @pytest.mark.parametrize(
+        "n,field,value,label",
+        [
+            (27, "naive", 7, "bit_length(naive)"),
+            (27, "naive", 2 * math.factorial(27), "bit_length(naive)"),
+            (27, "b_f_n", 93, "b_f_n = ceil"),
+            (27, "speedup", 3.5, "speedup = s_n / b_n"),
+            (27, "speedup", None, "speedup = s_n / b_n"),
+            (1, "speedup", 0.0, "speedup = s_n / b_n"),
+        ],
+    )
+    def test_broken_field_raises_invariant_error(self, n, field, value, label):
+        with pytest.raises(InvariantError, match=re.escape(label)):
+            dataclasses.replace(report(n), **{field: value})
 
 
 class TestFormulaInvariants:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 
@@ -10,7 +11,6 @@ from ruleorder import (
     GroundTruthOrder,
     IncorrectOrderError,
     InvalidPermutationError,
-    InvalidQueryError,
     SizeLimitError,
     adversarial_ground_truth,
     adversarial_worst_case,
@@ -73,8 +73,8 @@ class TestRunTrial:
             run_trial(3, "block", GroundTruthOrder.identity(3), [0, 1, 1])
 
     def test_rejects_float_presentation(self):
-        # [0.0, 1] sorts equal to [0, 1], so only the rule check catches it.
-        with pytest.raises(InvalidQueryError):
+        # [0.0, 1] sorts equal to [0, 1]; the permutation check tests types too.
+        with pytest.raises(InvalidPermutationError):
             run_trial(2, "block", GroundTruthOrder.identity(2), [0.0, 1])
 
     def test_explicit_presentation_order(self):
@@ -84,6 +84,19 @@ class TestRunTrial:
 
 
 class TestExhaustiveWorstCase:
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_learn_order_call_per_ground_truth(self, n, strategy, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return learn_order(*args)
+
+        monkeypatch.setattr(harness, "learn_order", counting)
+        exhaustive_worst_case(n, strategy)
+        assert len(calls) == math.factorial(n)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_block_comparisons_max(self, n):
         report = exhaustive_worst_case(n, "block")

@@ -80,7 +80,8 @@ class TestPrecedes:
     # A rule that is not an int is rejected as well, before it is counted.
     @pytest.mark.parametrize(
         "pair",
-        [(3, 0), (0, 3), (-1, 0), (0, -1), (0.5, 1), (0, 1.0), ("a", 1), (None, 1)],
+        [(3, 0), (0, 3), (-1, 0), (0, -1), (0.5, 1), (0, 1.0), ("a", 1), (None, 1),
+         (True, 0), (0, False)],
     )
     def test_out_of_universe_rejected(self, pair):
         oracle = oracle_for([0, 1, 2], record=True)
@@ -641,3 +642,56 @@ class TestNonIntegerRules:
         with pytest.raises(InvalidQueryError):
             run(oracle)
         assert oracle.query_count == 0 and oracle.transcript == []
+
+
+class TestOneRuleContract:
+    """``precedes``, ``learn_order`` and both inserts accept exactly the same
+    rules, ints in [0, n), and charge nothing when they reject one."""
+
+    order = GroundTruthOrder((2, 0, 1))
+    candidates = [0, 2, -1, 3, True, False, 0.0, 1.0, "a", None]
+
+    def outcomes(self, rule):
+        # A valid partner the candidate does not compare equal to, so that
+        # no call is rejected as reflexive.
+        other = 1 if rule == 0 else 0
+        calls = {
+            "precedes": lambda o: (o.precedes(rule, other), o.precedes(other, rule)),
+            "learn_order": lambda o: [
+                learn_order([other, rule], o, strategy) for strategy in ("block", "binary")
+            ],
+            "block_insert": lambda o: (
+                block_insert([other], rule, o), block_insert([rule], other, o)
+            ),
+            "binary_insert": lambda o: (
+                binary_insert([other], rule, o), binary_insert([rule], other, o)
+            ),
+        }
+        accepted = {}
+        for name, call in calls.items():
+            for record in (False, True):
+                oracle = CountingOracle(self.order, record=record)
+                try:
+                    call(oracle)
+                except InvalidQueryError:
+                    assert oracle.query_count == 0 and oracle.transcript == [], name
+                    accepted[name, record] = False
+                else:
+                    accepted[name, record] = True
+        return accepted
+
+    @pytest.mark.parametrize("rule", candidates, ids=repr)
+    def test_every_entry_point_accepts_the_same_rules(self, rule):
+        valid = type(rule) is int and 0 <= rule < self.order.n
+        assert self.outcomes(rule) == {
+            (name, record): valid
+            for name in ("precedes", "learn_order", "block_insert", "binary_insert")
+            for record in (False, True)
+        }
+
+    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
+    def test_rule_repeated_in_seq_is_a_duplicate(self, insert):
+        oracle = CountingOracle(self.order, record=True)
+        with pytest.raises(DuplicateRuleError):
+            insert([0, 0], 1, oracle)
+        assert oracle.query_count == 0
