@@ -93,9 +93,14 @@ def _require_permutation(values: tuple[int, ...], n: int, what: str) -> None:
     """Raise ``InvalidPermutationError`` unless ``values`` is a permutation of [0, n).
 
     Every value must be an ``int`` exactly: 0.0 and True compare equal to 0
-    and 1, and only their type tells.  Values that are all ints always sort.
+    and 1, and only their type tells.  n ints that include all of 0..n-1
+    are a permutation, which a set tells in O(n) without sorting.
     """
-    if list(map(type, values)).count(int) != len(values) or sorted(values) != list(range(n)):
+    if (
+        list(map(type, values)).count(int) != len(values)
+        or len(values) != n
+        or not set(values).issuperset(range(n))
+    ):
         raise InvalidPermutationError(
             f"{what} must be a permutation of 0..{n - 1}: {values!r}"
         )
@@ -311,15 +316,24 @@ def learn_order(
     Otherwise the oracle is asked nothing.  ``buckets[b]`` holds the placed
     ranks in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a bucket
     never grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick tree over
-    bucket lengths.  Each rule's landing position p is the count of placed
+    bucket lengths.  The run is charged what the strategy's flat search
+    would have asked to land where the rule belongs among the m rules
+    placed so far.  A rule ranked above every placed rank lands at p = m:
+    it is appended to its bucket and charged m for block (a full scan) and
+    floor(log2(m + 1)) for binary (the rightmost leaf of the halving search,
+    its shallowest).  A rule ranked below them all lands at p = 0: it goes
+    to the front of its bucket and is charged 1 for block and
+    ceil(log2(m + 1)) for binary (the leftmost leaf, its deepest; TAOCP
+    vol. 3, 5.3.1).  The first rule costs 0.  Only a rule that lands
+    strictly between the ends is searched for: p is the count of placed
     ranks in lower buckets (one O(log(n / ``_CHUNK``)) walk of ``below``)
-    plus a C-level bisection of its own bucket, and the run is charged what
-    the strategy's flat search would have asked to land at p: p + 1 queries
-    for a scan that stops there (m at the end of m placed rules), and the
-    probe count of the halving search for binary.  Placing a rule moves at
-    most ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``)) tree entries,
-    so a run costs O(n * (``_CHUNK`` + log n)) time whatever its query
-    count, and the learned sequence is the universe sorted by rank.
+    plus a C-level bisection of its own bucket, p must lie in (0, m) or
+    ``InvariantError`` is raised, and the run is charged p + 1 queries for
+    block and the probe count of the halving search for binary.  Placing
+    a rule moves at most ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``))
+    tree entries, so a run costs O(n * (``_CHUNK`` + log n)) time whatever
+    its query count, and the learned sequence is the universe sorted by
+    rank.
 
     Either way the learned sequence, the step count and any transcript are
     those of the flat search.
@@ -345,29 +359,45 @@ def learn_order(
     # never below another: below[i] sums buckets[i - (i & -i):i].
     below = [0] * size
     queries = 0
+    # The lowest and highest placed ranks.  Both start at the first rule's
+    # rank, so that rule takes the append branch (``>=``) at m = 0 and is
+    # charged nothing; ranks are distinct, so later rules never tie.
+    lowest = highest = ranks[rules[0]]
     for m, x in enumerate(rules):
         rx = ranks[x]
         b = rx // width
         bucket = buckets[b]
-        p = j = bisect_right(bucket, rx)
-        i = b
-        while i:  # p += placed ranks in buckets[:b]
-            p += below[i]
-            i &= i - 1
-        # Charge what the flat search asks to land at p: a scan stops after
-        # p + 1 queries (m at the end), a halving search counts its probes.
-        if block:
-            queries += p + 1 if p < m else m
+        if rx >= highest:  # lands at p = m: a full scan, the rightmost leaf
+            queries += m if block else (m + 1).bit_length() - 1
+            bucket.append(rx)
+            highest = rx
+        elif rx < lowest:  # lands at p = 0: one query, the leftmost leaf
+            queries += 1 if block else m.bit_length()
+            bucket.insert(0, rx)
+            lowest = rx
         else:
-            lo, hi = 0, m
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if p <= mid:
-                    hi = mid
-                else:
-                    lo = mid + 1
-                queries += 1
-        bucket.insert(j, rx)
+            p = j = bisect_right(bucket, rx)
+            i = b
+            while i:  # p += placed ranks in buckets[:b]
+                p += below[i]
+                i &= i - 1
+            # lowest < rx < highest, both placed, so neither end is possible.
+            if not 0 < p < m:
+                raise InvariantError(f"rule {x} landed at {p} of {m} placed rules")
+            # Charge what the flat search asks to land at p: a scan stops
+            # after p + 1 queries, a halving search counts its probes.
+            if block:
+                queries += p + 1
+            else:
+                lo, hi = 0, m
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    if p <= mid:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                    queries += 1
+            bucket.insert(j, rx)
         i = b + 1
         while i < size:  # buckets[b] grew by one
             below[i] += 1

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import sys
@@ -14,6 +15,7 @@ from ruleorder import (
     GroundTruthOrder,
     InvalidPermutationError,
     InvalidQueryError,
+    InvariantError,
     UnsortedSequenceError,
     binary_insert,
     block_insert,
@@ -461,6 +463,91 @@ class TestChunkedSequence:
         for size in (1, 2, 7, 30):
             presentation = random.Random(size).sample(range(50), size)
             assert_matches_reference(order, presentation, strategy)
+
+
+# ----------------------------------------------------------------------
+# End paths.  On a plain oracle a rule ranked above every placed rank lands
+# at p = m and one ranked below them all at p = 0; learn_order prices both
+# by formula, without a search.  Presentations are given as lists of ranks.
+# ----------------------------------------------------------------------
+
+def _zigzag(n):
+    # 0, n - 1, 1, n - 2, ...: every rule lands just inside one end
+    return [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+
+
+def _descending_runs(n, run=4):
+    # ascending runs of `run` ranks, the highest run first: each run starts
+    # at the front and then climbs through the middle
+    starts = range((n - 1) // run * run, -1, -run)
+    return [rank for start in starts for rank in range(start, min(start + run, n))]
+
+
+END_SHAPES = {
+    "sorted": lambda n: list(range(n)),
+    "reversed": lambda n: list(range(n - 1, -1, -1)),
+    "zigzag": _zigzag,
+    "descending-runs": _descending_runs,
+    "shuffled": lambda n: random.Random(n).sample(range(n), n),
+}
+END_CHUNKS = (1, 2, 3, 7, ordering._CHUNK)
+
+
+def assert_batched_matches_recording(order, presentation, strategy, chunks, monkeypatch):
+    recording = CountingOracle(order, record=True)
+    seq, queries = learn_order(presentation, recording, strategy)
+    n = len(presentation)
+    for chunk in chunks:
+        monkeypatch.setattr(ordering, "_CHUNK", chunk)
+        for model in CostModel:
+            batched = CountingOracle(order)
+            assert learn_order(presentation, batched, strategy, model) == (
+                seq,
+                model.steps(queries, n),
+            )
+            assert batched.query_count == queries
+
+
+class TestEndPaths:
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("shape", sorted(END_SHAPES))
+    @pytest.mark.parametrize("n", [2, 3, 10, 64, 200, *(2 * c + 1 for c in END_CHUNKS)])
+    def test_matches_recording_oracle(self, n, shape, strategy, monkeypatch):
+        # every bucket width for n <= 200; above that, only the width whose
+        # three buckets (two full, one of a single rank) n fills
+        order = GroundTruthOrder.shuffled(n, random.Random(n))
+        truth = order.true_sequence()
+        presentation = [truth[rank] for rank in END_SHAPES[shape](n)]
+        chunks = END_CHUNKS if n <= 200 else [c for c in END_CHUNKS if 2 * c + 1 == n]
+        assert_batched_matches_recording(order, presentation, strategy, chunks, monkeypatch)
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_one_rule_and_a_subset_that_starts_mid_rank(self, strategy, monkeypatch):
+        # The subset's first rule has rank 20, so the lowest placed rank is
+        # not 0; later rules land below it, above the highest and between.
+        order = GroundTruthOrder.shuffled(50, random.Random(9))
+        truth = order.true_sequence()
+        for ranks in ([0], [49], [20], [20, 30, 10, 25, 5, 40, 15, 45, 0, 22]):
+            presentation = [truth[rank] for rank in ranks]
+            assert_batched_matches_recording(
+                order, presentation, strategy, END_CHUNKS, monkeypatch
+            )
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("chunk", [2, ordering._CHUNK])
+    def test_landing_past_the_placed_ranks_raises(self, strategy, chunk, monkeypatch):
+        # A bisection that counts one rank too many moves some rule that
+        # lands between the ends onto an end; the run must fail, not charge
+        # a different count.
+        monkeypatch.setattr(ordering, "_CHUNK", chunk)
+        monkeypatch.setattr(
+            ordering, "bisect_right", lambda a, x: bisect.bisect_right(a, x) + 1
+        )
+        order = GroundTruthOrder.shuffled(40, random.Random(10))
+        oracle = CountingOracle(order)
+        with pytest.raises(InvariantError, match="landed at"):
+            learn_order(random.Random(11).sample(range(40), 40), oracle, strategy)
+        assert oracle.query_count == 0
 
 
 # ----------------------------------------------------------------------
