@@ -47,6 +47,7 @@ _EXPORTS = {
         "IncorrectOrderError",
         "InvalidPermutationError",
         "InvalidQueryError",
+        "InvalidRuleError",
         "InvariantError",
         "OrderingError",
         "RuleId",

@@ -8,13 +8,14 @@ predictors that break their proven bounds).
 
 Each command imports only what it runs: ``harness`` is loaded by ``learn``,
 ``worst-case`` and ``table`` alone, and ``json``, ``csv``, ``Decimal``,
-``random`` and ``pathlib`` only by the format or option that needs them.
+and ``random`` only by the format or option that needs them.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from dataclasses import asdict
 
@@ -25,6 +26,7 @@ from .ordering import (
     GroundTruthOrder,
     InvariantError,
     OrderingError,
+    _show,
 )
 
 FORMATS = ("human", "csv", "json")
@@ -181,18 +183,20 @@ def _parse_ranks(text: str, where: str) -> list[int]:
         token = token.strip()
         try:
             ranks.append(int(token))
-        except ValueError:
-            raise ValueError(f"{where}: {token!r} is not an integer") from None
+        except ValueError:  # also raised above the interpreter's digit limit (4300)
+            digits = token[1:] if token[:1] in "+-" else token
+            what = "too long to be a rank" if digits.isdecimal() else "not an integer"
+            raise ValueError(f"{where}: {_show(token)} is {what}") from None
     return ranks
 
 
 def _load_permutation(value: str, n: int) -> GroundTruthOrder:
     """Ranks by rule id, either inline ("2,0,1") or from a one-line file."""
-    from pathlib import Path
-
-    path = Path(value)
-    if path.is_file():
-        lines = path.read_text().splitlines()
+    # Unlike Path.is_file, isfile is False, not an OSError, for an inline
+    # permutation too long to be a file name.
+    if os.path.isfile(value):
+        with open(value) as file:
+            lines = file.read().splitlines()
         significant = [(i, line) for i, line in enumerate(lines, 1) if line.strip()]
         if not significant:
             raise ValueError(f"{value}: no permutation line found")

@@ -23,7 +23,6 @@ from .ordering import (
     RuleId,
     SizeLimitError,
     _position_finder,
-    _require_permutation,
     learn_order,
 )
 
@@ -96,11 +95,10 @@ def run_trial(
         raise InvalidPermutationError(
             f"ground truth has {ground_truth.n} rules, expected {n}"
         )
-    if presentation_order is None:
-        presentation = tuple(range(n))
-    else:
-        presentation = tuple(presentation_order)
-        _require_permutation(presentation, n, "presentation order")
+    # learn_order checks the rules, and n distinct rules are a permutation.
+    presentation = tuple(range(n) if presentation_order is None else presentation_order)
+    if len(presentation) != n:
+        raise InvalidPermutationError(f"presentation has {len(presentation)} rules, not {n}")
 
     oracle = CountingOracle(ground_truth)
     learned, steps = learn_order(presentation, oracle, strategy, model)

@@ -43,16 +43,20 @@ class InvalidQueryError(OrderingError):
     """Reflexive or out-of-universe precedence query."""
 
 
-class DuplicateRuleError(OrderingError):
-    """A rule was inserted (or presented) more than once."""
-
-
 class EmptyUniverseError(OrderingError):
     """Asked to learn an order over no rules at all."""
 
 
 class InvalidPermutationError(OrderingError):
     """A rank or presentation sequence is not a permutation of [0, n)."""
+
+
+class InvalidRuleError(InvalidQueryError, InvalidPermutationError):
+    """A rule or rank that is not an int in [0, n): a bad query and a bad permutation."""
+
+
+class DuplicateRuleError(InvalidPermutationError):
+    """A rule or rank was given more than once."""
 
 
 class SizeLimitError(OrderingError):
@@ -89,21 +93,25 @@ class CostModel(enum.Enum):
         return queries
 
 
-def _require_permutation(values: tuple[int, ...], n: int, what: str) -> None:
-    """Raise ``InvalidPermutationError`` unless ``values`` is a permutation of [0, n).
+def _show(value) -> str:
+    """``value`` for an error message: a repr cut to 20 characters."""
+    if isinstance(value, int) and value.bit_length() > 64:  # repr refuses huge ints
+        return f"an int of {value.bit_length()} bits"
+    text = repr(value)
+    return text if len(text) <= 20 else text[:17] + "..."
 
-    Every value must be an ``int`` exactly: 0.0 and True compare equal to 0
-    and 1, and only their type tells.  n ints that include all of 0..n-1
-    are a permutation, which a set tells in O(n) without sorting.
-    """
-    if (
-        list(map(type, values)).count(int) != len(values)
-        or len(values) != n
-        or not set(values).issuperset(range(n))
-    ):
-        raise InvalidPermutationError(
-            f"{what} must be a permutation of 0..{n - 1}: {values!r}"
-        )
+
+def _require_rules(rules: Sequence[RuleId], n: int) -> None:
+    """Raise unless ``rules`` are distinct ints in [0, n), which n of them
+    make a permutation of [0, n): the one check of universes, presentations
+    and ranks.  0.0 and True equal 0 and 1, and only their type tells."""
+    for rule in rules:
+        if type(rule) is not int or not 0 <= rule < n:
+            raise InvalidRuleError(f"rules and ranks are ints in [0, {n}), not {_show(rule)}")
+    if len(set(rules)) != len(rules):
+        seen: set[int] = set()
+        repeat = next(rule for rule in rules if rule in seen or seen.add(rule))
+        raise DuplicateRuleError(f"{repeat} repeats; a permutation of 0..{n - 1} has it once")
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ class GroundTruthOrder:
     ranks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_permutation(self.ranks, len(self.ranks), "ranks")
+        _require_rules(self.ranks, len(self.ranks))
 
     @classmethod
     def identity(cls, n: int) -> "GroundTruthOrder":
@@ -164,21 +172,19 @@ class CountingOracle:
 
     order: GroundTruthOrder
     record: bool = False
-    query_count: int = 0
-    transcript: list[tuple[RuleId, RuleId, bool]] = field(default_factory=list)
+    query_count: int = field(default=0, init=False)
+    transcript: list[tuple[RuleId, RuleId, bool]] = field(default_factory=list, init=False)
 
     def precedes(self, a: RuleId, b: RuleId) -> bool:
         """True iff rule ``a`` applies before rule ``b``. Costs one query."""
-        # The rules _require_rules accepts: exact ints in [0, n), so True,
-        # 0.5 and "a" are rejected, and nothing is charged for them.
-        if type(a) is not int or type(b) is not int:
-            raise InvalidQueryError(f"query ({a!r}, {b!r}) names a rule that is not an int")
         ranks = self.order.ranks
         n = len(ranks)
+        # The rules _require_rules accepts: exact ints in [0, n), so True,
+        # 0.5 and "a" are rejected, and nothing is charged for them.
+        if type(a) is not int or type(b) is not int or not 0 <= a < n or not 0 <= b < n:
+            raise InvalidRuleError(f"query ({_show(a)}, {_show(b)}) names no rule in [0, {n})")
         if a == b:
             raise InvalidQueryError(f"reflexive query for rule {a}")
-        if not 0 <= a < n or not 0 <= b < n:
-            raise InvalidQueryError(f"query ({a}, {b}) outside universe of {n} rules")
         answer = ranks[a] < ranks[b]
         self.query_count += 1
         if self.record:
@@ -241,18 +247,6 @@ def _position_finder(strategy: str):
         raise ValueError(
             f"unknown strategy {strategy!r} (choose from: {', '.join(STRATEGIES)})"
         ) from None
-
-
-def _require_rules(rules: Sequence[RuleId], n: int) -> None:
-    """Raise ``InvalidQueryError`` unless every rule is an int in [0, n), and
-    then ``DuplicateRuleError`` if a rule appears more than once."""
-    for rule in rules:
-        if type(rule) is not int:
-            raise InvalidQueryError(f"rule {rule!r} is not an int")
-        if not 0 <= rule < n:
-            raise InvalidQueryError(f"rule {rule} outside universe of {n} rules")
-    if len(set(rules)) != len(rules):
-        raise DuplicateRuleError(f"rules repeat: {rules!r}")
 
 
 def _is_sorted_by_rank(seq: Sequence[RuleId], order: GroundTruthOrder) -> bool:

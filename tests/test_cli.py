@@ -247,6 +247,38 @@ class TestLearn:
         assert code == 1
         assert "expected 4" in err
 
+    @pytest.mark.parametrize(
+        "ranks,queries", [(range(100), 480), (range(999, -1, -1), 8977)], ids=["100", "1000"]
+    )
+    def test_inline_permutation_longer_than_a_file_name(self, capsys, ranks, queries):
+        # Above 255 bytes, so probing it as a path raises ENAMETOOLONG.
+        code, out, _ = run_cli(
+            capsys, "learn", "--n", str(len(ranks)), "--strategy", "binary",
+            "--permutation", ",".join(map(str, ranks)), "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out)
+        assert (row["queries"], row["correct"]) == (queries, True)
+
+    def test_token_above_the_digit_limit_is_quoted_short(self, capsys, tmp_path):
+        path = tmp_path / "perm.txt"
+        path.write_text("0," + "9" * 5000 + "\n")
+        code, _, err = run_cli(
+            capsys, "learn", "--n", "2", "--strategy", "block", "--permutation", str(path),
+        )
+        assert code == 1
+        assert "too long to be a rank" in err
+        assert len(err) < 200 + len(str(path))
+
+    def test_bad_large_file_gets_a_short_error(self, capsys, tmp_path):
+        path = tmp_path / "perm.txt"
+        path.write_text(",".join(map(str, [*range(99_999), 0])) + "\n")
+        code, _, err = run_cli(
+            capsys, "learn", "--n", "100000", "--strategy", "block", "--permutation", str(path),
+        )
+        assert code == 1
+        assert "permutation" in err and len(err) < 200
+
     def test_requires_exactly_one_instance_source(self, capsys):
         code, _, _ = run_cli(capsys, "learn", "--n", "3", "--strategy", "block")
         assert code == 1

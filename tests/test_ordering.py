@@ -15,12 +15,14 @@ from ruleorder import (
     GroundTruthOrder,
     InvalidPermutationError,
     InvalidQueryError,
+    InvalidRuleError,
     InvariantError,
     UnsortedSequenceError,
     binary_insert,
     block_insert,
     learn_order,
     ordering,
+    run_trial,
 )
 
 
@@ -782,3 +784,52 @@ class TestOneRuleContract:
         with pytest.raises(DuplicateRuleError):
             insert([0, 0], 1, oracle)
         assert oracle.query_count == 0
+
+    def test_each_error_class_carries_both_meanings(self):
+        assert issubclass(InvalidRuleError, InvalidQueryError)
+        assert issubclass(InvalidRuleError, InvalidPermutationError)
+        assert issubclass(DuplicateRuleError, InvalidPermutationError)
+
+    @staticmethod
+    def faulty(case, n):
+        """0..n-1 with one fault at the end, where a check that stopped early
+        or printed its whole input would show, and the class it raises."""
+        *head, last = range(n)
+        return {
+            "float": (head + [float(last)], InvalidRuleError),
+            "bool": (head + [True], InvalidRuleError),
+            "str": (head + ["a"], InvalidRuleError),
+            "negative": (head + [-1], InvalidRuleError),
+            "n": (head + [n], InvalidRuleError),
+            "huge": (head + [10**5000], InvalidRuleError),
+            "repeat": (head + [0], DuplicateRuleError),
+            "short": (head, InvalidPermutationError),
+        }[case]
+
+    @pytest.mark.parametrize("n", [5, 100_000])
+    @pytest.mark.parametrize(
+        "case", ["float", "bool", "str", "negative", "n", "huge", "repeat", "short"]
+    )
+    def test_ranks_presentations_and_universes_share_one_check(self, case, n):
+        values, error = self.faulty(case, n)
+        identity = GroundTruthOrder.identity(n)
+        calls = {"run_trial": lambda oracle: run_trial(n, "binary", identity, values)}
+        if case != "short":  # fewer than n distinct rules are valid ranks and universes
+            calls.update({
+                "GroundTruthOrder": lambda oracle: GroundTruthOrder(tuple(values)),
+                "learn_order": lambda oracle: learn_order(values, oracle, "block"),
+                "block_insert": lambda oracle: block_insert(values[1:], values[0], oracle),
+                "binary_insert": lambda oracle: binary_insert(values[1:], values[0], oracle),
+            })
+        messages = set()
+        for name, call in calls.items():
+            for record in (False, True):
+                oracle = CountingOracle(identity, record=record)
+                with pytest.raises(error) as raised:
+                    call(oracle)
+                assert type(raised.value) is error, name
+                assert oracle.query_count == 0 and oracle.transcript == [], name
+                messages.add(str(raised.value))
+        # One check, so one message, naming the fault and not the input.
+        (message,) = messages
+        assert len(message) < 200
