@@ -208,7 +208,7 @@ def _load_permutation(value: str, n: int) -> GroundTruthOrder:
     elif "," in value or value.strip().lstrip("-").isdigit():
         ranks = _parse_ranks(value, "--permutation")
     else:
-        raise ValueError(f"permutation file not found: {value}")
+        raise ValueError(f"permutation file not found: {_show(value)}")
     if len(ranks) != n:
         raise ValueError(f"permutation has {len(ranks)} ranks, expected {n}")
     return GroundTruthOrder(tuple(ranks))

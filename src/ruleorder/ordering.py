@@ -26,12 +26,13 @@ STRATEGY_BLOCK = "block"
 STRATEGY_BINARY = "binary"
 STRATEGIES = (STRATEGY_BLOCK, STRATEGY_BINARY)
 
-# On a plain oracle, learn_order keeps the placed ranks in buckets of
-# _CHUNK consecutive ranks, so placing a rule moves at most _CHUNK entries
-# instead of the whole sequence.  Of 512 to 4096, 1024 and 2048 were the
-# fastest, within noise of each other, for binary n = 20,000 presented in
-# reverse order, binary n = 10**6 shuffled and block n = 300,000
-# adversarial (CPython 3.11, shared 2-vCPU x86-64).
+# On a plain oracle, learn_order keeps the ranks placed between the ends in
+# buckets of _CHUNK consecutive ranks, so placing a rule moves at most
+# _CHUNK entries instead of the whole sequence.  Of 512 to 4096, 1024 and
+# 2048 were the fastest, within noise of each other, for binary n = 20,000
+# presented in reverse order, binary n = 10**6 shuffled and block
+# n = 300,000 adversarial, when every rule still entered the buckets
+# (CPython 3.11, shared 2-vCPU x86-64).
 _CHUNK = 1024
 
 
@@ -127,19 +128,27 @@ class GroundTruthOrder:
         _require_rules(self.ranks, len(self.ranks))
 
     @classmethod
+    def _built(cls, ranks: tuple[int, ...]) -> "GroundTruthOrder":
+        """An order over ``ranks`` that are a permutation by construction,
+        made without the check ``__post_init__`` runs."""
+        order = object.__new__(cls)
+        object.__setattr__(order, "ranks", ranks)
+        return order
+
+    @classmethod
     def identity(cls, n: int) -> "GroundTruthOrder":
-        return cls(tuple(range(n)))
+        return cls._built(tuple(range(n)))
 
     @classmethod
     def reversed_identity(cls, n: int) -> "GroundTruthOrder":
-        return cls(tuple(range(n - 1, -1, -1)))
+        return cls._built(tuple(range(n - 1, -1, -1)))
 
     @classmethod
     def shuffled(cls, n: int, rng) -> "GroundTruthOrder":
         """Uniformly random order drawn from ``rng`` (a ``random.Random``)."""
         ranks = list(range(n))
         rng.shuffle(ranks)
-        return cls(tuple(ranks))
+        return cls._built(tuple(ranks))
 
     @property
     def n(self) -> int:
@@ -307,27 +316,30 @@ def learn_order(
     binary, asking every query.  Placement then moves O(n^2) list entries
     in all.
 
-    Otherwise the oracle is asked nothing.  ``buckets[b]`` holds the placed
-    ranks in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a bucket
-    never grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick tree over
-    bucket lengths.  The run is charged what the strategy's flat search
-    would have asked to land where the rule belongs among the m rules
-    placed so far.  A rule ranked above every placed rank lands at p = m:
-    it is appended to its bucket and charged m for block (a full scan) and
-    floor(log2(m + 1)) for binary (the rightmost leaf of the halving search,
-    its shallowest).  A rule ranked below them all lands at p = 0: it goes
-    to the front of its bucket and is charged 1 for block and
-    ceil(log2(m + 1)) for binary (the leftmost leaf, its deepest; TAOCP
-    vol. 3, 5.3.1).  The first rule costs 0.  Only a rule that lands
-    strictly between the ends is searched for: p is the count of placed
-    ranks in lower buckets (one O(log(n / ``_CHUNK``)) walk of ``below``)
-    plus a C-level bisection of its own bucket, p must lie in (0, m) or
+    Otherwise the oracle is asked nothing.  The run is charged what the
+    strategy's flat search would have asked to land where the rule belongs
+    among the m rules placed so far.  A rule ranked above every placed rank
+    lands at p = m: it is appended to ``backs`` and charged m for block (a
+    full scan) and floor(log2(m + 1)) for binary (the rightmost leaf of the
+    halving search, its shallowest).  A rule ranked below them all lands at
+    p = 0: its negated rank is appended to ``fronts`` and it is charged 1
+    for block and ceil(log2(m + 1)) for binary (the leftmost leaf, its
+    deepest; TAOCP vol. 3, 5.3.1).  Both lists stay ascending, and the
+    first rule, the first back, costs 0.  Only a rule that lands strictly
+    between the ends is searched for and indexed: ``buckets[b]`` holds the
+    middle ranks in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a
+    bucket never grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick
+    tree over bucket lengths.  p is a C-level bisection of the rule's own
+    bucket, plus the middle ranks in lower buckets (one
+    O(log(n / ``_CHUNK``)) walk of ``below``), plus the end ranks below it,
+    which one bisection counts: every front is below the first rule's
+    rank and every back at or above it.  p must lie in (0, m) or
     ``InvariantError`` is raised, and the run is charged p + 1 queries for
-    block and the probe count of the halving search for binary.  Placing
-    a rule moves at most ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``))
-    tree entries, so a run costs O(n * (``_CHUNK`` + log n)) time whatever
-    its query count, and the learned sequence is the universe sorted by
-    rank.
+    block and the probe count of the halving search for binary.  An end
+    landing costs one append; placing a middle rule moves at most
+    ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``)) tree entries, so a
+    run costs O(n * (``_CHUNK`` + log n)) time whatever its query count,
+    and the learned sequence is the universe sorted by rank.
 
     Either way the learned sequence, the step count and any transcript are
     those of the flat search.
@@ -353,28 +365,39 @@ def learn_order(
     # never below another: below[i] sums buckets[i - (i & -i):i].
     below = [0] * size
     queries = 0
-    # The lowest and highest placed ranks.  Both start at the first rule's
-    # rank, so that rule takes the append branch (``>=``) at m = 0 and is
-    # charged nothing; ranks are distinct, so later rules never tie.
-    lowest = highest = ranks[rules[0]]
+    # The end landers, each list ascending: ``backs`` holds the ranks that
+    # landed above every placed rank, from the first rule's on, and
+    # ``fronts`` the negated ranks that landed below every placed rank.
+    # ``lowest`` and ``highest`` start at the first rule's rank, so that
+    # rule takes the back branch (``>=``) at m = 0 and is charged nothing;
+    # ranks are distinct, so later rules never tie.
+    first = lowest = highest = ranks[rules[0]]
+    backs: list[int] = []
+    fronts: list[int] = []
     for m, x in enumerate(rules):
         rx = ranks[x]
-        b = rx // width
-        bucket = buckets[b]
         if rx >= highest:  # lands at p = m: a full scan, the rightmost leaf
             queries += m if block else (m + 1).bit_length() - 1
-            bucket.append(rx)
+            backs.append(rx)
             highest = rx
         elif rx < lowest:  # lands at p = 0: one query, the leftmost leaf
             queries += 1 if block else m.bit_length()
-            bucket.insert(0, rx)
+            fronts.append(-rx)
             lowest = rx
         else:
+            b = rx // width
+            bucket = buckets[b]
             p = j = bisect_right(bucket, rx)
             i = b
-            while i:  # p += placed ranks in buckets[:b]
+            while i:  # p += middle ranks in buckets[:b]
                 p += below[i]
                 i &= i - 1
+            # p += end ranks below rx: every front is below the first rank and
+            # every back at or above it.
+            if rx > first:
+                p += len(fronts) + bisect_right(backs, rx)
+            else:
+                p += len(fronts) - bisect_right(fronts, -rx)
             # lowest < rx < highest, both placed, so neither end is possible.
             if not 0 < p < m:
                 raise InvariantError(f"rule {x} landed at {p} of {m} placed rules")
@@ -392,9 +415,9 @@ def learn_order(
                         lo = mid + 1
                     queries += 1
             bucket.insert(j, rx)
-        i = b + 1
-        while i < size:  # buckets[b] grew by one
-            below[i] += 1
-            i += i & -i
+            i = b + 1
+            while i < size:  # buckets[b] grew by one
+                below[i] += 1
+                i += i & -i
     oracle.query_count += queries
     return sorted(rules, key=ranks.__getitem__), model.steps(queries, len(rules))

@@ -224,12 +224,14 @@ class TestLearn:
         assert "line 2" in err
 
     def test_missing_file_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "learn", "--n", "3", "--strategy", "block",
-            "--permutation", "no-such-file.txt",
-        )
-        assert code == 1
-        assert "not found" in err
+        for value in ("no-such-file.txt", "x" * 300):
+            code, _, err = run_cli(
+                capsys, "learn", "--n", "3", "--strategy", "block",
+                "--permutation", value,
+            )
+            assert code == 1
+            assert "not found" in err
+            assert len(err) < 80  # quotes at most 20 characters of the value
 
     def test_non_permutation_ranks_rejected(self, capsys):
         code, _, err = run_cli(

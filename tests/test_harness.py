@@ -185,16 +185,23 @@ class TestAdversarialGroundTruth:
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     def test_wrong_learned_order_raises(self, monkeypatch, strategy):
-        # The presentation order with its first two rules swapped is wrong
-        # on both adversarial instances.
-        def wrong_learner(rules, oracle, strategy, model):
-            seq = list(rules)
-            seq[0], seq[1] = seq[1], seq[0]
-            return seq, 0
+        # The learned order with its first two rules swapped, its last rule
+        # dropped, or its last rule replaced by its first is wrong.
+        wrongs = (
+            lambda seq: [seq[1], seq[0], *seq[2:]],
+            lambda seq: seq[:-1],
+            lambda seq: [*seq[:-1], seq[0]],
+        )
+        for wrong in wrongs:
+            def wrong_learner(rules, oracle, strategy, model, wrong=wrong):
+                seq, steps = learn_order(rules, oracle, strategy, model)
+                return wrong(seq), steps
 
-        monkeypatch.setattr(harness, "learn_order", wrong_learner)
-        with pytest.raises(IncorrectOrderError):
-            adversarial_worst_case(4, strategy)
+            monkeypatch.setattr(harness, "learn_order", wrong_learner)
+            with pytest.raises(IncorrectOrderError):
+                adversarial_worst_case(4, strategy)
+            assert run_trial(4, strategy, GroundTruthOrder((2, 0, 3, 1))).correct is False
+            assert random_trials(4, strategy, 3, seed=1).all_correct is False
 
     def test_rejects_zero(self):
         for n in (0, 2.5):

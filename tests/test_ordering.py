@@ -53,6 +53,25 @@ class TestGroundTruthOrder:
         with pytest.raises(InvalidPermutationError):
             GroundTruthOrder(ranks)
 
+    def test_factories_equal_checked_orders(self, monkeypatch):
+        # The factories build permutations from range and skip the rule
+        # check; what they build equals and hashes like a checked order.
+        for n in (0, 1, 5, 300):
+            shuffled = list(range(n))
+            random.Random(n).shuffle(shuffled)
+            for order, ranks in (
+                (GroundTruthOrder.identity(n), range(n)),
+                (GroundTruthOrder.reversed_identity(n), range(n - 1, -1, -1)),
+                (GroundTruthOrder.shuffled(n, random.Random(n)), shuffled),
+            ):
+                checked = GroundTruthOrder(tuple(ranks))
+                assert order == checked
+                assert hash(order) == hash(checked)
+        monkeypatch.setattr(ordering, "_require_rules", None)
+        assert GroundTruthOrder.identity(3).ranks == (0, 1, 2)
+        assert GroundTruthOrder.reversed_identity(3).ranks == (2, 1, 0)
+        assert sorted(GroundTruthOrder.shuffled(3, random.Random(1)).ranks) == [0, 1, 2]
+
     def test_shuffled_is_deterministic_per_seed(self):
         a = GroundTruthOrder.shuffled(20, random.Random(7))
         b = GroundTruthOrder.shuffled(20, random.Random(7))
@@ -470,7 +489,8 @@ class TestChunkedSequence:
 # ----------------------------------------------------------------------
 # End paths.  On a plain oracle a rule ranked above every placed rank lands
 # at p = m and one ranked below them all at p = 0; learn_order prices both
-# by formula, without a search.  Presentations are given as lists of ranks.
+# by formula, without a search, and keeps them out of the rank buckets.
+# Presentations are given as lists of ranks.
 # ----------------------------------------------------------------------
 
 def _zigzag(n):
@@ -534,6 +554,20 @@ class TestEndPaths:
             assert_batched_matches_recording(
                 order, presentation, strategy, END_CHUNKS, monkeypatch
             )
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize(
+        "ranks", [[50, 40, 30, 35], [50, 60, 70, 65]], ids=["fronts", "backs"]
+    )
+    def test_middle_rule_between_two_end_landers(self, ranks, strategy, monkeypatch):
+        # The last rule lands between the two rules before it, which both
+        # landed at the same end, so its position counts only some of them.
+        order = GroundTruthOrder.shuffled(80, random.Random(12))
+        truth = order.true_sequence()
+        presentation = [truth[rank] for rank in ranks]
+        assert_batched_matches_recording(
+            order, presentation, strategy, END_CHUNKS, monkeypatch
+        )
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     @pytest.mark.parametrize("chunk", [2, ordering._CHUNK])
