@@ -302,6 +302,16 @@ class TestLearn:
             capsys, "learn", "--n", "12", "--strategy", "block", "--seed", "3",
         )
 
+    def test_wrong_learned_order_prints_row_then_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "learn_order", lambda rules, *args: (list(rules), 0))
+        code, out, err = run_cli(
+            capsys, "learn", "--n", "3", "--strategy", "block",
+            "--permutation", "2,0,1", "--format", "json",
+        )
+        assert code == 2
+        assert json.loads(out)["correct"] is False
+        assert err == "error: learned order does not match the ground truth\n"
+
 
 class TestWorstCase:
     def test_exhaustive_binary_5(self, capsys):
@@ -392,6 +402,17 @@ class TestTable:
 
     def test_csv_json_round_trip(self, capsys):
         assert_csv_json_agree(capsys, "table")
+
+
+def _golden_cases():
+    cases = json.loads((GOLDEN / "cli_cases.json").read_text())
+    return [pytest.param(case, id=" ".join(case["argv"])) for case in cases]
+
+
+@pytest.mark.parametrize("case", _golden_cases())
+def test_output_matches_golden_case(capsys, case):
+    # Each case is argv -> exit code, stdout and stderr, recorded from the CLI.
+    assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestEndToEnd:
