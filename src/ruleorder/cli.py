@@ -1,10 +1,11 @@
 """Command-line front end: predictors, single runs, worst-case search, table.
 
-Every command renders the same values in three formats (``human``, ``csv``,
-``json``); csv and json share field names and ordering, so the two are
-interchangeable for scripting.  Exit codes: 0 success, 1 usage or input
-error, 2 internal invariant violation (a run that learned a wrong order, or
-predictors that break their proven bounds).
+Every command writes its rows through ``_emit`` in one of three formats
+(``human``, ``csv``, ``json``); csv and json share field names and ordering,
+so the two are interchangeable for scripting.  Exit codes: 0 success, 1 usage
+or input error, 2 internal invariant violation (a run that learned a wrong
+order, which ``learn`` reports after its row, or predictors that break their
+proven bounds); ``main`` alone maps errors to codes.
 
 Each command imports only what it runs: ``harness`` is loaded by ``learn``,
 ``worst-case`` and ``table`` alone, and ``json``, ``csv``, ``Decimal``,
@@ -14,7 +15,6 @@ and ``random`` only by the format or option that needs them.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from dataclasses import asdict
@@ -24,6 +24,7 @@ from .ordering import (
     STRATEGIES,
     CostModel,
     GroundTruthOrder,
+    IncorrectOrderError,
     InvariantError,
     OrderingError,
     _show,
@@ -51,12 +52,6 @@ TABLE_COLUMNS = (
     ("block_years", "{:.2f}".format),
     ("binary_years", "{:.2f}".format),
 )
-
-# Fields too large for native JSON numbers, emitted in csv and json as the
-# exact decimal digits in a string.  Formatting through Decimal avoids the
-# interpreter's int-to-str digit limit (4300 digits by default), which n!
-# passes at n = 1559.
-_EXACT_DIGITS = frozenset({"naive"})
 
 # Decimal(int) is quadratic in the digit count, so _decimal_digits converts
 # pieces of at most this many bits and joins them with Decimal products.  Of
@@ -121,56 +116,56 @@ def _decimal_digits(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-def _exact_digits(row: dict) -> dict:
-    return {
-        key: _decimal_digits(value) if key in _EXACT_DIGITS else value
-        for key, value in row.items()
-    }
+def _emit(rows: list[dict], fmt: str, table: bool = False) -> None:
+    """Write ``rows`` to stdout in ``fmt``, the one renderer of every command.
 
-
-def _render_csv(rows: list[dict]) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        writer.writerow(_cell(value) for value in row.values())
-    return buffer.getvalue()
-
-
-def _render_json(rows: list[dict], single: bool) -> str:
-    import json
-
-    payload = rows[0] if single else rows
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _human_pairs(row: dict) -> str:
-    lines = []
-    for key, value in row.items():
-        if key == "naive":
-            value = complexity.scientific(value)
-        lines.append(f"{key}: {_cell(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit(rows: list[dict], fmt: str, single: bool = True) -> None:
+    ``naive`` (n!) prints in e-notation in ``human`` and as its exact decimal
+    digits in a string in csv and json: past the range of JSON numbers, and
+    through ``_decimal_digits``, so past the interpreter's int-to-str digit
+    limit (4300 digits by default, which n! passes at n = 1559).  A ``table``
+    prints as aligned ``TABLE_COLUMNS`` in ``human`` and as a list in json;
+    any other output is one row.
+    """
     if fmt == "human":
+        if table:
+            lines = [[key for key, _ in TABLE_COLUMNS]]
+            lines += [[show(row[key]) for key, show in TABLE_COLUMNS] for row in rows]
+            widths = [max(map(len, column)) for column in zip(*lines)]
+            for line in lines:
+                sys.stdout.write("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n")
+            return
         for row in rows:
-            sys.stdout.write(_human_pairs(row))
+            for key, value in row.items():
+                shown = complexity.scientific(value) if key == "naive" else _cell(value)
+                sys.stdout.write(f"{key}: {shown}\n")
         return
-    rows = [_exact_digits(row) for row in rows]
-    sys.stdout.write(_render_csv(rows) if fmt == "csv" else _render_json(rows, single))
+    rows = [
+        {key: _decimal_digits(value) if key == "naive" else value for key, value in row.items()}
+        for row in rows
+    ]
+    if fmt == "csv":
+        import csv
 
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(map(_cell, row.values()) for row in rows)
+    else:
+        import json
 
-def _dashed(values) -> str:
-    return "-".join(str(v) for v in values)
+        sys.stdout.write(json.dumps(rows if table else rows[0], indent=2) + "\n")
 
 
 # --------------------------------------------------------------------------
 # argument helpers
 # --------------------------------------------------------------------------
+
+def _int(text: str) -> int:
+    """argparse's ``int`` type, but an error quotes at most 20 characters."""
+    try:
+        return int(text)
+    except ValueError:  # also raised above the interpreter's digit limit (4300)
+        raise argparse.ArgumentTypeError(f"invalid int value: {_show(text)}") from None
+
 
 def _positive_n(args) -> int:
     complexity._require_positive(args.n, "--n")
@@ -244,8 +239,7 @@ def _cmd_learn(args) -> int:
     result = harness.run_trial(n, args.strategy, ground_truth, presentation, model, source)
     _emit([asdict(result)], args.format)
     if not result.correct:
-        print("error: learned order does not match the ground truth", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise IncorrectOrderError("learned order does not match the ground truth")
     return EXIT_OK
 
 
@@ -258,14 +252,11 @@ def _cmd_worst_case(args) -> int:
         report = harness.exhaustive_worst_case(n, args.strategy, model)
     else:
         report = harness.adversarial_worst_case(n, args.strategy, model)
+    # The report's fields, with ground_truth_ranks and presentation as
+    # dashed strings under the names ground_truth and presentation.
     row = {
-        "strategy": report.strategy,
-        "n": report.n,
-        "mode": report.mode,
-        "cost_model": report.cost_model,
-        "max_steps": report.max_steps,
-        "ground_truth": _dashed(report.ground_truth_ranks),
-        "presentation": _dashed(report.presentation),
+        key.removesuffix("_ranks"): "-".join(map(str, value)) if type(value) is tuple else value
+        for key, value in asdict(report).items()
     }
     _emit([row], args.format)
     return EXIT_OK
@@ -275,15 +266,8 @@ def _cmd_table(args) -> int:
     from . import harness
 
     reports = harness.comparison_table()
-    if args.format != "human":
-        rows = [{key: getattr(r, key) for key, _ in TABLE_COLUMNS} for r in reports]
-        _emit(rows, args.format, single=False)
-        return EXIT_OK
-    lines = [[key for key, _ in TABLE_COLUMNS]]
-    lines += [[show(getattr(r, key)) for key, show in TABLE_COLUMNS] for r in reports]
-    widths = [max(map(len, column)) for column in zip(*lines)]
-    for line in lines:
-        sys.stdout.write("  ".join(cell.rjust(w) for cell, w in zip(line, widths)) + "\n")
+    rows = [{key: getattr(r, key) for key, _ in TABLE_COLUMNS} for r in reports]
+    _emit(rows, args.format, table=True)
     return EXIT_OK
 
 
@@ -299,7 +283,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     # The options that several commands share, each declared once.
     shared = {
-        "--n": dict(type=int, required=True),
+        "--n": dict(type=_int, required=True),
         "--strategy": dict(choices=STRATEGIES, required=True),
         "--cost-model": dict(
             choices=[m.value for m in CostModel], default=CostModel.COMPARISONS_ONLY.value
@@ -318,7 +302,7 @@ def build_parser() -> _Parser:
     p_learn = sub.add_parser("learn", help="run one learning trial")
     add(p_learn, "--n", "--strategy")
     instance = p_learn.add_mutually_exclusive_group(required=True)
-    instance.add_argument("--seed", type=int, help="random ground truth from this seed")
+    instance.add_argument("--seed", type=_int, help="random ground truth from this seed")
     instance.add_argument(
         "--permutation",
         help="ranks by rule id, inline (e.g. 2,0,1) or a path to a one-line file",

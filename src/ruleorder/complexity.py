@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ordering import InvariantError
+from .ordering import InvariantError, _show
 
 DAYS_PER_YEAR = 365.25
 
@@ -30,7 +30,7 @@ _LOG10_2 = math.log10(2)
 
 def _require_positive(value: int, name: str = "n") -> None:
     if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+        raise ValueError(f"{name} must be a positive integer, got {_show(value)}")
 
 
 def ceil_log2(k: int) -> int:
@@ -94,10 +94,10 @@ def speedup(n: int) -> float:
 def learning_duration(steps: int, steps_per_day: float) -> float:
     """Years needed to spend ``steps`` at a rate of ``steps_per_day``."""
     if type(steps) is not int or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+        raise ValueError(f"steps must be a non-negative integer, got {_show(steps)}")
     rate = steps_per_day
     if type(rate) is bool or not isinstance(rate, (int, float)) or not rate > 0:
-        raise ValueError(f"steps_per_day must be a positive number, got {rate!r}")
+        raise ValueError(f"steps_per_day must be a positive number, got {_show(rate)}")
     return steps / rate / DAYS_PER_YEAR
 
 
@@ -116,7 +116,7 @@ def scientific(value: int, digits: int = 6) -> str:
 
     _require_positive(digits, "digits")
     if type(value) is not int:
-        raise ValueError(f"value must be an integer, got {value!r}")
+        raise ValueError(f"value must be an integer, got {_show(value)}")
     context = Context(prec=digits)
     drop = int(abs(value).bit_length() * _LOG10_2) - digits - _GUARD
     if drop <= 0:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import complexity
 from .ordering import (
+    STRATEGY_BLOCK,
     CostModel,
     CountingOracle,
     GroundTruthOrder,
@@ -23,6 +24,7 @@ from .ordering import (
     RuleId,
     SizeLimitError,
     _position_finder,
+    _show,
     learn_order,
 )
 
@@ -73,7 +75,6 @@ class TrialSummary:
     n: int
     trials: int
     seed: int
-    cost_model: str
     shuffle_presentation: bool
     rng_algorithm: str
     min_queries: int
@@ -101,7 +102,7 @@ def run_trial(
     """Run one learner against a fresh oracle and report its counts."""
     if ground_truth.n != n:
         raise InvalidPermutationError(
-            f"ground truth has {ground_truth.n} rules, expected {n}"
+            f"ground truth has {ground_truth.n} rules, expected {_show(n)}"
         )
     # learn_order checks the rules, and n distinct rules are a permutation.
     presentation = tuple(range(n) if presentation_order is None else presentation_order)
@@ -142,7 +143,7 @@ def exhaustive_worst_case(
     complexity._require_positive(n)
     if n > EXHAUSTIVE_CAP_FIXED:
         raise SizeLimitError(
-            f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {n}"
+            f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {_show(n)}"
         )
 
     oracle = CountingOracle(GroundTruthOrder.identity(n))
@@ -180,7 +181,7 @@ def adversarial_ground_truth(
     complexity._require_positive(n)
     _position_finder(strategy)  # raises ValueError for an unknown strategy
     presentation = list(range(n))
-    if strategy == "block":
+    if strategy == STRATEGY_BLOCK:
         return GroundTruthOrder.identity(n), presentation
     return GroundTruthOrder.reversed_identity(n), presentation
 
@@ -211,13 +212,16 @@ def random_trials(
     strategy: str,
     trials: int,
     seed: int,
-    model: CostModel = CostModel.COMPARISONS_ONLY,
+    *,
     shuffle_presentation: bool = False,
 ) -> TrialSummary:
     """Run seeded random instances and summarise their query counts.
 
     The same seed always yields the same summary; ground truths (and, when
     requested, presentation orders) are drawn from one deterministic stream.
+    The summary counts the oracle's queries, which no cost model changes.
+    ``shuffle_presentation`` is keyword-only: a stray fifth positional
+    argument fails instead of turning shuffling on.
     """
     complexity._require_positive(n)
     complexity._require_positive(trials, "trials")
@@ -231,7 +235,7 @@ def random_trials(
         if shuffle_presentation:
             rng.shuffle(presentation)
         oracle = CountingOracle(ground_truth)
-        learned = learn_order(presentation, oracle, strategy, model)[0]
+        learned = learn_order(presentation, oracle, strategy, CostModel.COMPARISONS_ONLY)[0]
         counts.append(oracle.query_count)
         all_correct = all_correct and _learned_in_rank_order(learned, ground_truth.ranks)
     return TrialSummary(
@@ -239,7 +243,6 @@ def random_trials(
         n=n,
         trials=trials,
         seed=seed,
-        cost_model=model.value,
         shuffle_presentation=shuffle_presentation,
         rng_algorithm=RNG_ALGORITHM,
         min_queries=min(counts),

@@ -93,6 +93,25 @@ class TestPredict:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (("predict", "--n", "-" + "9" * 4000),
+             "--n must be a positive integer, got an int of 13288 bits"),
+            # Past the interpreter's digit limit (4300), int() itself fails.
+            (("predict", "--n", "-" + "9" * 5000),
+             "argument --n: invalid int value: '-999999999999999..."),
+            (("learn", "--n", "3", "--strategy", "block", "--seed", "9" * 5000),
+             "argument --seed: invalid int value: '9999999999999999..."),
+        ],
+        ids=["n-4000-digits", "n-5000-digits", "seed-5000-digits"],
+    )
+    def test_huge_values_are_quoted_short(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {err}\n")
+
     def test_csv_json_round_trip(self, capsys):
         assert_csv_json_agree(capsys, "predict", "--n", "27")
         assert_csv_json_agree(capsys, "predict", "--n", "1")

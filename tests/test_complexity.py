@@ -283,6 +283,29 @@ class TestLearningDuration:
             learning_duration(10, rate)
 
 
+class TestHugeValuesInErrors:
+    # -10**5000 has more digits than the interpreter converts to str (4300).
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: speedup(-10**5000), "n must be a positive integer"),
+            (lambda: learning_duration(-10**5000, 2.0), "steps must be a non-negative integer"),
+            (lambda: learning_duration(10, -10**5000), "steps_per_day must be a positive number"),
+            (lambda: scientific(1, -10**5000), "digits must be a positive integer"),
+        ],
+        ids=["speedup", "steps", "steps_per_day", "digits"],
+    )
+    def test_error_names_the_parameter(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{message}, got an int of 16610 bits"
+
+    def test_long_value_is_cut_to_20_characters(self):
+        with pytest.raises(ValueError) as info:
+            scientific("9" * 5000)
+        assert str(info.value) == "value must be an integer, got '9999999999999999..."
+
+
 class TestReport:
     def test_values_at_27(self):
         rep = report(27)

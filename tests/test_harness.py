@@ -67,6 +67,8 @@ class TestRunTrial:
     def test_rejects_size_mismatch(self):
         with pytest.raises(InvalidPermutationError):
             run_trial(4, "block", GroundTruthOrder.identity(3))
+        with pytest.raises(InvalidPermutationError, match="expected an int of 16610 bits$"):
+            run_trial(10**5000, "block", GroundTruthOrder.identity(3))
 
     def test_rejects_bad_presentation(self):
         with pytest.raises(InvalidPermutationError):
@@ -134,6 +136,8 @@ class TestExhaustiveWorstCase:
     def test_caps_enforced(self):
         with pytest.raises(SizeLimitError):
             exhaustive_worst_case(9, "block")
+        with pytest.raises(SizeLimitError, match="got n = an int of 16610 bits$"):
+            exhaustive_worst_case(10**5000, "block")
 
     def test_rejects_zero(self):
         for n in (0, 2.5):
@@ -259,13 +263,20 @@ class TestRandomTrials:
         assert summary.trials == 3
 
     def test_rejects_zero_trials(self):
-        for trials in (0, 2.5, "3", True):
+        for trials in (0, 2.5, "3", True, -10**5000):
             with pytest.raises(ValueError, match="trials must be a positive integer"):
                 random_trials(5, "block", trials, seed=1)
 
     def test_rejects_zero_rules(self):
         with pytest.raises(ValueError):
             random_trials(0, "block", 5, seed=1)
+
+    def test_has_no_cost_model_knob(self):
+        # The summary counts oracle queries, which no cost model changes.
+        with pytest.raises(TypeError):
+            random_trials(27, "block", 5, 1, CostModel.COMPARISONS_PLUS_PLACEMENT)
+        summary = random_trials(27, "block", 5, 1)
+        assert not hasattr(summary, "cost_model")
 
 
 class TestWorstCaseAggregate:
