@@ -17,6 +17,7 @@ _EXPORTS = {
         "binary_steps_approx",
         "block_steps_exact",
         "ceil_log2",
+        "comparison_table",
         "learning_duration",
         "log_factorial",
         "naive_steps",
@@ -30,7 +31,6 @@ _EXPORTS = {
         "WorstCaseReport",
         "adversarial_ground_truth",
         "adversarial_worst_case",
-        "comparison_table",
         "exhaustive_worst_case",
         "random_trials",
         "run_trial",

@@ -7,9 +7,10 @@ or input error, 2 internal invariant violation (a run that learned a wrong
 order, which ``learn`` reports after its row, or predictors that break their
 proven bounds); ``main`` alone maps errors to codes.
 
-Each command imports only what it runs: ``harness`` is loaded by ``learn``,
-``worst-case`` and ``table`` alone, and ``json``, ``csv``, ``Decimal``,
-and ``random`` only by the format or option that needs them.
+Each command imports only what it runs: ``harness`` (and with it
+``dataclasses``) is loaded by ``learn`` and ``worst-case`` alone, and
+``json``, ``csv``, ``Decimal`` and ``random`` only by the format or option
+that needs them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 
 from . import complexity
 from .ordering import (
@@ -214,7 +214,7 @@ def _load_permutation(value: str, n: int) -> GroundTruthOrder:
 # --------------------------------------------------------------------------
 
 def _cmd_predict(args) -> int:
-    _emit([asdict(complexity.report(_positive_n(args)))], args.format)
+    _emit([complexity.report(_positive_n(args))._asdict()], args.format)
     return EXIT_OK
 
 
@@ -237,13 +237,15 @@ def _cmd_learn(args) -> int:
         source = "permutation"
 
     result = harness.run_trial(n, args.strategy, ground_truth, presentation, model, source)
-    _emit([asdict(result)], args.format)
+    _emit([result._asdict()], args.format)
     if not result.correct:
         raise IncorrectOrderError("learned order does not match the ground truth")
     return EXIT_OK
 
 
 def _cmd_worst_case(args) -> int:
+    from dataclasses import asdict
+
     from . import harness
 
     n = _positive_n(args)
@@ -263,9 +265,7 @@ def _cmd_worst_case(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import harness
-
-    reports = harness.comparison_table()
+    reports = complexity.comparison_table()
     rows = [{key: getattr(r, key) for key, _ in TABLE_COLUMNS} for r in reports]
     _emit(rows, args.format, table=True)
     return EXIT_OK

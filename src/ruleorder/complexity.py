@@ -8,7 +8,7 @@ compensated summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ordering import InvariantError, _show
 
@@ -16,6 +16,9 @@ DAYS_PER_YEAR = 365.25
 
 # The paper's rate for its comparison table: two steps a day.
 STEPS_PER_DAY = 2.0
+
+# The universe sizes of the paper's comparison table.
+TABLE_SIZES = (27, 1000)
 
 # Slack granted to the strict log2(n!) < B(n) bound, which floating
 # accumulation (and the exact tie at n = 2) would otherwise break.
@@ -126,33 +129,31 @@ def scientific(value: int, digits: int = 6) -> str:
     return format(Decimal((int(value < 0), coefficient, exponent + drop - 1)), "e")
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    """All predictor outputs for one universe size.
+class ComplexityReport(
+    namedtuple("ComplexityReport", "n s_n b_n b_f_n log_factorial speedup naive")
+):
+    """All predictor outputs for one universe size, as a named tuple.
 
     ``speedup`` is None at n = 1, where binary insertion needs zero queries.
     ``block_years`` and ``binary_years`` are properties, not fields, so
-    ``dataclasses.asdict`` gives the predictors alone.
+    ``_asdict()`` gives the predictors alone.  Every way of building a
+    report (the constructor, ``_make`` and ``_replace``) checks the
+    predictors against each other and their proven bounds, and raises
+    ``InvariantError`` if they disagree.
     """
 
-    n: int
-    s_n: int
-    b_n: int
-    b_f_n: int
-    log_factorial: float
-    speedup: float | None
-    naive: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n, b_n, lf = self.n, self.b_n, self.log_factorial
+    def __new__(cls, n, s_n, b_n, b_f_n, log_factorial, speedup, naive):
+        lf = log_factorial
         slack = BOUND_RELATIVE_TOLERANCE * max(1.0, lf)
-        bits = self.naive.bit_length()  # 2**(bits - 1) <= n! < 2**bits
+        bits = naive.bit_length()  # 2**(bits - 1) <= n! < 2**bits
         checks = [
-            ("s_n = (n^2 - n)/2 + n - 1", self.s_n == (n * n - n) // 2 + n - 1),
+            ("s_n = (n^2 - n)/2 + n - 1", s_n == (n * n - n) // 2 + n - 1),
             ("bit_length(naive) - 1 <= log2(n!) < bit_length(naive)",
              bits - 1 - slack <= lf < bits + slack),
-            ("b_f_n = ceil(log2(n!))", self.b_f_n == math.ceil(lf)),
-            ("speedup = s_n / b_n", self.speedup == (self.s_n / b_n if n >= 2 else None)),
+            ("b_f_n = ceil(log2(n!))", b_f_n == math.ceil(lf)),
+            ("speedup = s_n / b_n", speedup == (s_n / b_n if n >= 2 else None)),
         ]
         if n >= 2:
             checks += [
@@ -164,8 +165,14 @@ class ComplexityReport:
         if broken:
             raise InvariantError(
                 f"predictors at n = {n} break {'; '.join(broken)}"
-                f" (s_n = {self.s_n}, b_n = {b_n}, log2(n!) = {lf!r})"
+                f" (s_n = {s_n}, b_n = {b_n}, log2(n!) = {lf!r})"
             )
+        return tuple.__new__(cls, (n, s_n, b_n, b_f_n, lf, speedup, naive))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def block_years(self) -> float:
@@ -190,3 +197,8 @@ def report(n: int) -> ComplexityReport:
         speedup=speedup(n) if n >= 2 else None,
         naive=naive_steps(n),
     )
+
+
+def comparison_table() -> list[ComplexityReport]:
+    """Predictor reports for the paper's showcase sizes, ``TABLE_SIZES``."""
+    return [report(n) for n in TABLE_SIZES]

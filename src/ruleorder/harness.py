@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import complexity
+from .complexity import TABLE_SIZES, comparison_table  # noqa: F401  re-exported
 from .ordering import (
     STRATEGY_BLOCK,
     CostModel,
@@ -35,25 +37,20 @@ EXHAUSTIVE_CAP_FIXED = 8
 # runs: Mersenne Twister driving a Fisher-Yates shuffle (random.shuffle).
 RNG_ALGORITHM = "mt19937-fisher-yates"
 
-TABLE_SIZES = (27, 1000)
-
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_ADVERSARIAL = "adversarial"
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(
+    namedtuple("TrialResult", "strategy n queries steps correct cost_model source")
+):
     """One learning run: counts, correctness, and instance provenance."""
 
-    strategy: str
-    n: int
-    queries: int
-    steps: int
-    correct: bool
-    cost_model: str
-    source: str
+    __slots__ = ()
 
 
+# A frozen dataclass, unlike the named-tuple records: the benchmark's
+# self-test changes a report with dataclasses.replace.
 @dataclass(frozen=True)
 class WorstCaseReport:
     """Maximum step count found for one size, with an achieving instance."""
@@ -67,20 +64,16 @@ class WorstCaseReport:
     presentation: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class TrialSummary(
+    namedtuple(
+        "TrialSummary",
+        "strategy n trials seed shuffle_presentation rng_algorithm"
+        " min_queries max_queries mean_queries all_correct",
+    )
+):
     """Aggregate of a seeded batch of random trials."""
 
-    strategy: str
-    n: int
-    trials: int
-    seed: int
-    shuffle_presentation: bool
-    rng_algorithm: str
-    min_queries: int
-    max_queries: int
-    mean_queries: float
-    all_correct: bool
+    __slots__ = ()
 
 
 def _learned_in_rank_order(learned: list[RuleId], ranks: tuple[int, ...]) -> bool:
@@ -250,8 +243,3 @@ def random_trials(
         mean_queries=math.fsum(counts) / len(counts),
         all_correct=all_correct,
     )
-
-
-def comparison_table() -> list[complexity.ComplexityReport]:
-    """Predictor reports for the paper's showcase sizes, ``TABLE_SIZES``."""
-    return [complexity.report(n) for n in TABLE_SIZES]

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 # A rule is identified by an integer index in [0, n).
 RuleId = int
@@ -115,25 +114,47 @@ def _require_rules(rules: Sequence[RuleId], n: int) -> None:
         raise DuplicateRuleError(f"{repeat} repeats; a permutation of 0..{n - 1} has it once")
 
 
-@dataclass(frozen=True)
 class GroundTruthOrder:
     """The hidden strict total order: ``ranks[rule]`` is the rule's rank.
 
     ``ranks`` must be a permutation of [0, n); lower rank applies earlier.
+    Orders are immutable: ``ranks`` cannot be reassigned, and equal orders
+    hash equal.
     """
 
-    ranks: tuple[int, ...]
+    __slots__ = ("ranks",)
 
-    def __post_init__(self) -> None:
-        _require_rules(self.ranks, len(self.ranks))
+    def __init__(self, ranks: tuple[int, ...]) -> None:
+        _require_rules(ranks, len(ranks))
+        object.__setattr__(self, "ranks", ranks)
 
     @classmethod
     def _built(cls, ranks: tuple[int, ...]) -> "GroundTruthOrder":
         """An order over ``ranks`` that are a permutation by construction,
-        made without the check ``__post_init__`` runs."""
+        made without the check ``__init__`` runs."""
         order = object.__new__(cls)
         object.__setattr__(order, "ranks", ranks)
         return order
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return type(self), (self.ranks,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ranks == other.ranks
+
+    def __hash__(self) -> int:
+        return hash((self.ranks,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(ranks={self.ranks!r})"
 
     @classmethod
     def identity(cls, n: int) -> "GroundTruthOrder":
@@ -162,7 +183,6 @@ class GroundTruthOrder:
         return sorted(range(self.n), key=self.ranks.__getitem__)
 
 
-@dataclass
 class CountingOracle:
     """Answers precedence queries against a hidden order and counts them.
 
@@ -179,10 +199,27 @@ class CountingOracle:
     or overridden ``precedes`` see each one.
     """
 
-    order: GroundTruthOrder
-    record: bool = False
-    query_count: int = field(default=0, init=False)
-    transcript: list[tuple[RuleId, RuleId, bool]] = field(default_factory=list, init=False)
+    # No __slots__: an instance may replace its own ``precedes``.
+    __hash__ = None
+
+    def __init__(self, order: GroundTruthOrder, record: bool = False) -> None:
+        self.order = order
+        self.record = record
+        self.query_count = 0
+        self.transcript: list[tuple[RuleId, RuleId, bool]] = []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.record, self.query_count, self.transcript) == (
+            other.order, other.record, other.query_count, other.transcript
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(order={self.order!r}, record={self.record!r},"
+            f" query_count={self.query_count!r}, transcript={self.transcript!r})"
+        )
 
     def precedes(self, a: RuleId, b: RuleId) -> bool:
         """True iff rule ``a`` applies before rule ``b``. Costs one query."""
@@ -254,7 +291,7 @@ def _position_finder(strategy: str):
         return _POSITION_FINDERS[strategy]
     except KeyError:
         raise ValueError(
-            f"unknown strategy {strategy!r} (choose from: {', '.join(STRATEGIES)})"
+            f"unknown strategy {_show(strategy)} (choose from: {', '.join(STRATEGIES)})"
         ) from None
 
 

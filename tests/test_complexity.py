@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from ruleorder import InvariantError, complexity
 from ruleorder.complexity import (
+    ComplexityReport,
     binary_steps,
     binary_steps_approx,
     block_steps_exact,
@@ -345,7 +345,34 @@ class TestReport:
     )
     def test_broken_field_raises_invariant_error(self, n, field, value, label):
         with pytest.raises(InvariantError, match=re.escape(label)):
-            dataclasses.replace(report(n), **{field: value})
+            report(n)._replace(**{field: value})
+
+    def test_every_way_of_building_checks(self):
+        # namedtuple's own _make, which _replace calls, would skip __new__.
+        fields = report(27)._asdict()
+        fields["naive"] = 7
+        for build in (
+            lambda: ComplexityReport(**fields),
+            lambda: ComplexityReport(*fields.values()),
+            lambda: ComplexityReport._make(fields.values()),
+            lambda: report(27)._replace(naive=7),
+        ):
+            with pytest.raises(InvariantError, match=re.escape("bit_length(naive)")):
+                build()
+
+    def test_is_a_named_tuple(self):
+        rep = report(27)
+        n, s_n, b_n, b_f_n, lf, ratio, naive = rep
+        assert (n, s_n, b_n, b_f_n, naive) == (27, 377, 104, 94, math.factorial(27))
+        assert rep == (n, s_n, b_n, b_f_n, lf, ratio, naive) == tuple(rep)
+        assert ComplexityReport._make(tuple(rep)) == rep
+        assert list(rep._asdict()) == [
+            "n", "s_n", "b_n", "b_f_n", "log_factorial", "speedup", "naive"
+        ]
+        with pytest.raises(AttributeError):
+            rep.n = 3
+        with pytest.raises(AttributeError):
+            rep.block_years = 0.0
 
 
 class TestFormulaInvariants:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -83,6 +82,15 @@ class TestRunTrial:
         gt = GroundTruthOrder((2, 1, 0))
         result = run_trial(3, "binary", gt, [2, 0, 1])
         assert result.correct
+
+    def test_result_is_a_named_tuple(self):
+        result = run_trial(3, "block", GroundTruthOrder.identity(3))
+        strategy, n, queries, steps, correct, cost_model, source = result
+        assert result == ("block", 3, 3, 3, True, "comparisons", "explicit")
+        assert (strategy, n, queries, steps, correct, cost_model, source) == tuple(result)
+        assert list(result._asdict().values()) == list(result)
+        with pytest.raises(AttributeError):
+            result.queries = 0
 
 
 class TestExhaustiveWorstCase:
@@ -225,7 +233,14 @@ class TestRandomTrials:
         a = random_trials(30, "binary", 50, seed=123)
         b = random_trials(30, "binary", 50, seed=123)
         assert a == b
-        assert json.dumps(dataclasses.asdict(a)) == json.dumps(dataclasses.asdict(b))
+        assert json.dumps(a._asdict()) == json.dumps(b._asdict())
+
+    def test_summary_is_a_named_tuple(self):
+        summary = random_trials(5, "binary", 3, seed=4)
+        assert summary == tuple(summary._asdict().values())
+        strategy, n, trials, seed, *_, all_correct = summary
+        assert (strategy, n, trials, seed, all_correct) == ("binary", 5, 3, 4, True)
+        assert summary._replace(seed=5).seed == 5
 
     def test_different_seeds_differ(self):
         a = random_trials(30, "binary", 50, seed=1)
@@ -290,6 +305,10 @@ class TestWorstCaseAggregate:
 
 
 class TestComparisonTable:
+    def test_harness_reexports_the_table(self):
+        assert harness.comparison_table is complexity.comparison_table
+        assert harness.TABLE_SIZES == complexity.TABLE_SIZES == (27, 1000)
+
     def test_row_sizes(self):
         rows = comparison_table()
         assert [row.n for row in rows] == [27, 1000]

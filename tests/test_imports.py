@@ -48,12 +48,28 @@ def test_bare_import_loads_no_submodule():
         (
             ["predict", "--n", "27"],
             {"ruleorder.complexity", "decimal"},
-            {"ruleorder.harness", "statistics", "json", "csv", "random", "pathlib"},
+            {"ruleorder.harness", "statistics", "json", "csv", "random", "pathlib",
+             "dataclasses", "inspect", "typing"},
         ),
         (
             ["learn", "--adversarial", "--n", "27", "--strategy", "binary"],
             {"ruleorder.harness"},
             {"decimal", "statistics", "json", "csv", "pathlib"},
+        ),
+        (
+            ["predict", "--n", "27", "--format", "json"],
+            {"ruleorder.complexity", "decimal", "json"},
+            {"ruleorder.harness", "dataclasses", "inspect", "typing"},
+        ),
+        (
+            ["table", "--format", "csv"],
+            {"ruleorder.complexity", "csv"},
+            {"ruleorder.harness", "dataclasses", "inspect", "typing", "random"},
+        ),
+        (
+            ["table"],
+            {"ruleorder.complexity", "decimal"},
+            {"ruleorder.harness", "dataclasses", "inspect", "typing", "random"},
         ),
     ],
 )
@@ -64,6 +80,12 @@ def test_command_loads_only_what_it_runs(argv, needed, unneeded):
     assert code == 0
     assert needed <= set(loaded)
     assert not unneeded & set(loaded)
+
+
+def test_ordering_loads_neither_dataclasses_nor_typing():
+    loaded = set(run_fresh("import ruleorder.ordering", LOADED))
+    assert "ruleorder.ordering" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}
 
 
 def test_every_public_name_resolves():

@@ -1,5 +1,7 @@
 import bisect
+import copy
 import itertools
+import pickle
 import random
 import sys
 
@@ -77,6 +79,29 @@ class TestGroundTruthOrder:
         b = GroundTruthOrder.shuffled(20, random.Random(7))
         assert a == b
 
+    def test_ranks_are_read_only(self):
+        order = GroundTruthOrder((2, 0, 1))
+        with pytest.raises(AttributeError, match="cannot assign to field 'ranks'"):
+            order.ranks = (0, 1, 2)
+        with pytest.raises(AttributeError):
+            del order.ranks
+        with pytest.raises(AttributeError):
+            order.extra = 1
+        assert order.ranks == (2, 0, 1)
+
+    def test_equal_orders_hash_equal(self):
+        order, twin = GroundTruthOrder((2, 0, 1)), GroundTruthOrder._built((2, 0, 1))
+        assert order == twin and hash(order) == hash(twin)
+        assert len({order, twin, GroundTruthOrder((0, 1, 2))}) == 2
+        assert order != GroundTruthOrder((0, 1, 2))
+        assert order != (2, 0, 1)
+        assert repr(order) == "GroundTruthOrder(ranks=(2, 0, 1))"
+
+    def test_copies_and_pickles_equal(self):
+        order = GroundTruthOrder.shuffled(5, random.Random(3))
+        for twin in (copy.copy(order), copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
+            assert twin == order and hash(twin) == hash(order)
+
 
 class TestPrecedes:
     def test_identity_pair_counts(self):
@@ -84,6 +109,19 @@ class TestPrecedes:
         assert oracle.query_count == 0
         assert oracle.precedes(0, 1) is True
         assert oracle.query_count == 1
+
+    def test_equality_repr_and_no_hash(self):
+        a, b = oracle_for([1, 0], record=True), oracle_for([1, 0], record=True)
+        assert a == b
+        a.precedes(0, 1)
+        assert a != b
+        assert a != oracle_for([1, 0])
+        assert repr(a) == (
+            "CountingOracle(order=GroundTruthOrder(ranks=(1, 0)), record=True,"
+            " query_count=1, transcript=[(0, 1, False)])"
+        )
+        with pytest.raises(TypeError):
+            hash(a)
 
     def test_identity_reverse_pair(self):
         oracle = oracle_for([0, 1, 2])
@@ -251,6 +289,26 @@ class TestLearnOrder:
         oracle = oracle_for([0, 1])
         with pytest.raises(ValueError):
             learn_order([0, 1], oracle, "bogus")
+
+    def test_unknown_strategy_message_is_short(self):
+        oracle = oracle_for([0, 1])
+        with pytest.raises(ValueError) as error:
+            learn_order([0, 1], oracle, "x" * 10**6)
+        assert str(error.value) == (
+            "unknown strategy 'xxxxxxxxxxxxxxxx... (choose from: block, binary)"
+        )
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_steps_count_only_this_calls_queries(self, strategy):
+        # A recording oracle takes the per-query route; the queries it
+        # answered before this call are not charged to it.
+        oracle = oracle_for([3, 1, 4, 0, 2], record=True)
+        learn_order([0, 1, 2, 3, 4], oracle, strategy)
+        before = oracle.query_count
+        assert before > 0
+        seq, steps = learn_order([4, 3, 2, 1, 0], oracle, strategy)
+        assert seq == oracle.order.true_sequence()
+        assert steps == oracle.query_count - before == len(oracle.transcript) - before > 0
 
     def test_out_of_universe_rule_rejected(self):
         oracle = oracle_for([0, 1])
@@ -583,6 +641,20 @@ class TestEndPaths:
         oracle = CountingOracle(order)
         with pytest.raises(InvariantError, match="landed at"):
             learn_order(random.Random(11).sample(range(40), 40), oracle, strategy)
+        assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("chunk", [2, ordering._CHUNK])
+    def test_middle_rule_landing_at_the_front_raises(self, strategy, chunk, monkeypatch):
+        # A bisection that counts one rank too few moves the last of ranks
+        # 0, 2, 1, which lands between the ends, onto the front (p = 0).
+        monkeypatch.setattr(ordering, "_CHUNK", chunk)
+        monkeypatch.setattr(
+            ordering, "bisect_right", lambda a, x: max(bisect.bisect_right(a, x) - 1, 0)
+        )
+        oracle = CountingOracle(GroundTruthOrder.identity(3))
+        with pytest.raises(InvariantError, match="landed at 0 of 2"):
+            learn_order([0, 2, 1], oracle, strategy)
         assert oracle.query_count == 0
 
 
