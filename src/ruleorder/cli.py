@@ -206,7 +206,7 @@ def _load_permutation(value: str, n: int) -> GroundTruthOrder:
         raise ValueError(f"permutation file not found: {_show(value)}")
     if len(ranks) != n:
         raise ValueError(f"permutation has {len(ranks)} ranks, expected {n}")
-    return GroundTruthOrder(tuple(ranks))
+    return GroundTruthOrder(ranks)
 
 
 # --------------------------------------------------------------------------

@@ -78,10 +78,10 @@ class TrialSummary(
 
 def _learned_in_rank_order(learned: list[RuleId], ranks: tuple[int, ...]) -> bool:
     """True iff ``learned`` lists every rule once, by rank: ``learned[i]``
-    has rank i.  One C-level pass, not a second sort by rank.  ``learned``
+    has rank i.  One O(n) pass, not a second sort by rank.  ``learned``
     comes from ``learn_order``, which only returns rules it has checked, so
     each one indexes ``ranks`` as itself."""
-    return list(map(ranks.__getitem__, learned)) == list(range(len(ranks)))
+    return [ranks[x] for x in learned] == list(range(len(ranks)))
 
 
 def run_trial(

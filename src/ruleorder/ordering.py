@@ -118,13 +118,16 @@ class GroundTruthOrder:
     """The hidden strict total order: ``ranks[rule]`` is the rule's rank.
 
     ``ranks`` must be a permutation of [0, n); lower rank applies earlier.
-    Orders are immutable: ``ranks`` cannot be reassigned, and equal orders
-    hash equal.
+    It is kept as a tuple copied before the check, so an order built from a
+    list equals and hashes like one built from the same tuple, and later
+    edits to that list do not reach it.  Orders are immutable: ``ranks``
+    cannot be reassigned, and equal orders hash equal.
     """
 
     __slots__ = ("ranks",)
 
-    def __init__(self, ranks: tuple[int, ...]) -> None:
+    def __init__(self, ranks: Iterable[int]) -> None:
+        ranks = tuple(ranks)
         _require_rules(ranks, len(ranks))
         object.__setattr__(self, "ranks", ranks)
 
@@ -179,8 +182,12 @@ class GroundTruthOrder:
         return self.ranks[rule]
 
     def true_sequence(self) -> list[RuleId]:
-        """All rules sorted by rank: the sequence a correct learner ends with."""
-        return sorted(range(self.n), key=self.ranks.__getitem__)
+        """The sequence a correct learner ends with: slot = rank, so each
+        rule is put straight into the slot its rank names, in O(n)."""
+        seq = [0] * self.n
+        for rule, rank in enumerate(self.ranks):
+            seq[rank] = rule
+        return seq
 
 
 class CountingOracle:
@@ -344,8 +351,8 @@ def learn_order(
     """Learn the hidden order of ``universe`` by inserting rules one at a time.
 
     Rules are inserted in the order given (the presentation order).  Returns
-    the learned sequence, sorted by hidden rank, and the run's step count
-    under ``model``.
+    the learned sequence, in which each rule sits at its hidden rank among
+    the universe's ranks, and the run's step count under ``model``.
 
     When ``oracle._batched()`` is false (``CountingOracle`` says when), each
     rule is placed by the strategy's search over one flat list of the rules
@@ -375,8 +382,12 @@ def learn_order(
     block and the probe count of the halving search for binary.  An end
     landing costs one append; placing a middle rule moves at most
     ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``)) tree entries, so a
-    run costs O(n * (``_CHUNK`` + log n)) time whatever its query count,
-    and the learned sequence is the universe sorted by rank.
+    run costs O(n * (``_CHUNK`` + log n)) time whatever its query count.
+    When the universe is the whole domain, the learned sequence is built by
+    slot = rank: as each rule lands it is stored in the slot of a list of n
+    that its rank names, in O(n) with no sort.  A strict subset of k rules
+    is sorted by rank once at the end, in O(k log k) however large the
+    domain.
 
     Either way the learned sequence, the step count and any transcript are
     those of the flat search.
@@ -411,8 +422,17 @@ def learn_order(
     first = lowest = highest = ranks[rules[0]]
     backs: list[int] = []
     fronts: list[int] = []
+    # The rules are distinct, so len(rules) == n means the whole domain and
+    # slot = rank fills every slot; a strict subset is sorted at the end.
+    # This store repeats true_sequence(), but keeps the rule objects the
+    # loop already holds: calling true_sequence() after the loop makes n new
+    # ints and lost the whole gain on learn-binary-large.
+    whole = len(rules) == len(ranks)
+    learned = [0] * len(ranks) if whole else None
     for m, x in enumerate(rules):
         rx = ranks[x]
+        if whole:
+            learned[rx] = x
         if rx >= highest:  # lands at p = m: a full scan, the rightmost leaf
             queries += m if block else (m + 1).bit_length() - 1
             backs.append(rx)
@@ -457,4 +477,6 @@ def learn_order(
                 below[i] += 1
                 i += i & -i
     oracle.query_count += queries
-    return sorted(rules, key=ranks.__getitem__), model.steps(queries, len(rules))
+    if not whole:
+        learned = sorted(rules, key=ranks.__getitem__)
+    return learned, model.steps(queries, len(rules))

@@ -1,9 +1,9 @@
-"""Independent routes to the library's closed forms, kept only as test oracles.
+"""Independent routes to the library's results, kept only as test oracles.
 
 The library evaluates each formula one way; these are the literal sums the
-closed forms were derived from, and the Decimal conversions ``scientific``
-and the csv/json renderers used to make, so tests can check one route
-against the other.
+closed forms were derived from, the Decimal conversions ``scientific`` and
+the csv/json renderers used to make, and the sort by rank that slot
+placement replaced, so tests can check one route against the other.
 """
 
 from decimal import Context, Decimal
@@ -47,3 +47,9 @@ def scientific_by_decimal(value, digits=6):
 def exact_digits_by_decimal(value):
     """Exact decimal digits through one (quadratic) Decimal conversion."""
     return format(Decimal(value), "f")
+
+
+def true_sequence_by_sort(order):
+    """Every rule of ``order`` sorted by its rank, by a comparison sort."""
+    ranks = order.ranks
+    return sorted(range(len(ranks)), key=ranks.__getitem__)

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from oracles import true_sequence_by_sort
 
 from ruleorder import (
     CostModel,
@@ -91,6 +92,38 @@ class TestRunTrial:
         assert list(result._asdict().values()) == list(result)
         with pytest.raises(AttributeError):
             result.queries = 0
+
+
+class TestLearnedInRankOrder:
+    RANKS = (2, 0, 3, 1)  # rules by rank: 1, 3, 0, 2
+
+    def test_accepts_the_true_sequence(self):
+        assert harness._learned_in_rank_order([1, 3, 0, 2], self.RANKS)
+        assert harness._learned_in_rank_order([], ())
+
+    @pytest.mark.parametrize(
+        "learned",
+        [
+            [3, 1, 0, 2],  # first pair swapped
+            [1, 3, 2, 0],  # last pair swapped
+            [1, 3, 0],  # short
+            [],
+            [1, 3, 0, 2, 2],  # long, by a repeat
+            [1, 1, 0, 2],  # a repeat in place of a rule
+            [1, 3, 3, 2],
+        ],
+    )
+    def test_rejects_anything_else(self, learned):
+        assert not harness._learned_in_rank_order(learned, self.RANKS)
+
+    def test_agrees_with_the_sort_on_every_arrangement(self):
+        for n in range(5):
+            ranks = tuple(range(n - 1, -1, -1))
+            truth = true_sequence_by_sort(GroundTruthOrder(ranks))
+            for learned in itertools.permutations(range(n)):
+                assert harness._learned_in_rank_order(list(learned), ranks) is (
+                    list(learned) == truth
+                )
 
 
 class TestExhaustiveWorstCase:

@@ -4,10 +4,12 @@ import itertools
 import pickle
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import true_sequence_by_sort
 
 from ruleorder import (
     CostModel,
@@ -96,6 +98,27 @@ class TestGroundTruthOrder:
         assert order != GroundTruthOrder((0, 1, 2))
         assert order != (2, 0, 1)
         assert repr(order) == "GroundTruthOrder(ranks=(2, 0, 1))"
+
+    def test_list_built_order_equals_tuple_built(self):
+        order, twin = GroundTruthOrder([2, 0, 1]), GroundTruthOrder((2, 0, 1))
+        assert order.ranks == (2, 0, 1) and type(order.ranks) is tuple
+        assert order == twin and hash(order) == hash(twin)
+        assert repr(order) == "GroundTruthOrder(ranks=(2, 0, 1))"
+
+    def test_editing_the_source_list_leaves_the_order_unchanged(self):
+        source = [2, 0, 1]
+        order = GroundTruthOrder(source)
+        source[:] = [0, 0, 1]  # duplicate ranks, had the order kept the list
+        assert order.ranks == (2, 0, 1)
+        for strategy in ("block", "binary"):
+            seq, _ = learn_order(range(3), CountingOracle(order), strategy)
+            assert seq == [1, 2, 0]
+
+    def test_ranks_are_copied_before_the_check(self):
+        # A one-shot iterable is read once, so the check sees what is kept.
+        assert GroundTruthOrder(iter([1, 2, 0])).ranks == (1, 2, 0)
+        with pytest.raises(DuplicateRuleError):
+            GroundTruthOrder(iter([1, 1, 0]))
 
     def test_copies_and_pickles_equal(self):
         order = GroundTruthOrder.shuffled(5, random.Random(3))
@@ -542,6 +565,102 @@ class TestChunkedSequence:
         for size in (1, 2, 7, 30):
             presentation = random.Random(size).sample(range(50), size)
             assert_matches_reference(order, presentation, strategy)
+
+
+# ----------------------------------------------------------------------
+# Slot placement.  true_sequence() and the batched learn_order put each rule
+# in the slot its rank names instead of sorting by rank; the comparison sort
+# in tests/oracles.py is the independent reference for both.
+# ----------------------------------------------------------------------
+
+def ground_truths(max_n):
+    """Identity, reversed and shuffled orders of 0 to ``max_n`` rules."""
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.one_of(
+            st.just(GroundTruthOrder.identity(n)),
+            st.just(GroundTruthOrder.reversed_identity(n)),
+            st.permutations(range(n)).map(GroundTruthOrder),
+        )
+    )
+
+
+def learned_by_sort(order, universe):
+    chosen = set(universe)
+    return [rule for rule in true_sequence_by_sort(order) if rule in chosen]
+
+
+class TestSlotPlacement:
+    @settings(max_examples=150)
+    @given(ground_truths(300))
+    @example(GroundTruthOrder.identity(300))
+    @example(GroundTruthOrder.reversed_identity(300))
+    @example(GroundTruthOrder.shuffled(300, random.Random(1)))
+    def test_true_sequence_matches_the_sort(self, order):
+        assert order.true_sequence() == true_sequence_by_sort(order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ground_truths(300).filter(lambda order: order.n > 1), st.booleans(),
+           st.sampled_from(["block", "binary"]), st.data())
+    def test_batched_learn_order_matches_the_sort(self, order, whole, strategy, data):
+        # whole: every rule of the domain; otherwise a random strict subset,
+        # whose ranks leave gaps wherever the missing rules rank.
+        n = order.n
+        size = n if whole else data.draw(st.integers(min_value=1, max_value=n - 1))
+        universe = data.draw(st.permutations(range(n)))[:size]
+        oracle = CountingOracle(order)
+        assert oracle._batched()
+        seq, _ = learn_order(universe, oracle, strategy)
+        assert seq == learned_by_sort(order, universe)
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("chunk", [1, 7, ordering._CHUNK])
+    @pytest.mark.parametrize(
+        "keep",
+        [
+            lambda rank, n: rank % 2 == 0,  # a gap after every rank
+            lambda rank, n: n // 3 <= rank < 2 * n // 3,  # gaps at both ends
+            lambda rank, n: rank in (0, n - 1),  # one wide gap
+        ],
+        ids=["even-ranks", "middle-third", "both-ends"],
+    )
+    def test_subsets_with_gaps_match_the_sort(self, keep, chunk, strategy, monkeypatch):
+        monkeypatch.setattr(ordering, "_CHUNK", chunk)
+        n = 300
+        order = GroundTruthOrder.shuffled(n, random.Random(9))
+        universe = [rule for rule in range(n) if keep(order.ranks[rule], n)]
+        random.Random(10).shuffle(universe)
+        seq, _ = learn_order(universe, CountingOracle(order), strategy)
+        assert seq == learned_by_sort(order, universe)
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_the_whole_domain_is_placed_without_a_sort(self, strategy, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted() called")
+
+        order = GroundTruthOrder.shuffled(200, random.Random(11))
+        presentation = random.Random(12).sample(range(200), 200)
+        expected = true_sequence_by_sort(order)
+        monkeypatch.setattr(ordering, "sorted", no_sort, raising=False)
+        assert learn_order(presentation, CountingOracle(order), strategy)[0] == expected
+        with pytest.raises(AssertionError, match="sorted"):
+            learn_order(presentation[:100], CountingOracle(order), strategy)
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_a_few_rules_of_a_huge_domain_allocate_no_slot_per_rank(self, strategy):
+        # A list of 10**6 slots would take 8 MB; a strict subset is sorted
+        # instead.  The order is built before tracing starts.
+        n = 10**6
+        order = GroundTruthOrder.reversed_identity(n)
+        universe = random.Random(13).sample(range(n), 10)
+        oracle = CountingOracle(order)
+        tracemalloc.start()
+        try:
+            seq, _ = learn_order(universe, oracle, strategy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seq == sorted(universe, reverse=True)
+        assert peak < 1 << 20
 
 
 # ----------------------------------------------------------------------
