@@ -27,6 +27,7 @@ from .ordering import (
     SizeLimitError,
     _position_finder,
     _show,
+    _shuffle,
     learn_order,
 )
 
@@ -34,7 +35,8 @@ from .ordering import (
 EXHAUSTIVE_CAP_FIXED = 8
 
 # Generator recorded in summaries so identical seeds are comparable across
-# runs: Mersenne Twister driving a Fisher-Yates shuffle (random.shuffle).
+# runs: Mersenne Twister driving a Fisher-Yates shuffle.  ordering._shuffle
+# makes the draws random.Random.shuffle makes, so the stream is the same.
 RNG_ALGORITHM = "mt19937-fisher-yates"
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -103,12 +105,12 @@ def run_trial(
         raise InvalidPermutationError(f"presentation has {len(presentation)} rules, not {n}")
 
     oracle = CountingOracle(ground_truth)
-    learned, steps = learn_order(presentation, oracle, strategy, model)
+    learned = learn_order(presentation, oracle, strategy)
     return TrialResult(
         strategy=strategy,
         n=n,
         queries=oracle.query_count,
-        steps=steps,
+        steps=model.steps(oracle.query_count, n),
         correct=_learned_in_rank_order(learned, ground_truth.ranks),
         cost_model=model.value,
         source=source,
@@ -122,16 +124,19 @@ def exhaustive_worst_case(
 ) -> WorstCaseReport:
     """Enumerate every ground truth under the presentation order 0..n-1 and
     return the maximum step count with the first ground truth attaining it.
+    ``model`` prices the largest query count once: it is monotone, so that
+    count's instance is also the first to attain the largest step count.
 
     Other presentation orders give the same maximum: over all ground truths,
     each rule's landing position among the rules already placed is uniform
     whatever the presentation (the inversion table, TAOCP vol. 3, 5.1.1).
 
-    The search runs every instance on one identity oracle.  Relabelling
-    each rule i as its rank turns ground truth ``ranks`` under presentation
-    0..n-1 into the identity order under presentation ``ranks``: every query
-    (i, j) becomes (ranks[i], ranks[j]) with the same answer, so each run
-    asks as many queries as the original instance.
+    The search runs every instance on one identity oracle, its count reset
+    before each run.  Relabelling each rule i as its rank turns ground truth
+    ``ranks`` under presentation 0..n-1 into the identity order under
+    presentation ``ranks``: every query (i, j) becomes (ranks[i], ranks[j])
+    with the same answer, so each run asks as many queries as the original
+    instance.
     """
     complexity._require_positive(n)
     if n > EXHAUSTIVE_CAP_FIXED:
@@ -143,16 +148,17 @@ def exhaustive_worst_case(
     best = -1
     best_ranks: tuple[int, ...] = ()
     for ranks in itertools.permutations(range(n)):
-        _, steps = learn_order(ranks, oracle, strategy, model)
-        if steps > best:
-            best = steps
+        oracle.query_count = 0
+        learn_order(ranks, oracle, strategy)
+        if oracle.query_count > best:
+            best = oracle.query_count
             best_ranks = ranks
     return WorstCaseReport(
         strategy=strategy,
         n=n,
         mode=MODE_EXHAUSTIVE,
         cost_model=model.value,
-        max_steps=best,
+        max_steps=model.steps(best, n),
         ground_truth_ranks=best_ranks,
         presentation=tuple(range(n)),
     )
@@ -226,9 +232,9 @@ def random_trials(
         ground_truth = GroundTruthOrder.shuffled(n, rng)
         presentation = list(range(n))
         if shuffle_presentation:
-            rng.shuffle(presentation)
+            _shuffle(presentation, rng)
         oracle = CountingOracle(ground_truth)
-        learned = learn_order(presentation, oracle, strategy, CostModel.COMPARISONS_ONLY)[0]
+        learned = learn_order(presentation, oracle, strategy)
         counts.append(oracle.query_count)
         all_correct = all_correct and _learned_in_rank_order(learned, ground_truth.ranks)
     return TrialSummary(

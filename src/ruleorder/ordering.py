@@ -15,6 +15,7 @@ many queries they spend.
 from __future__ import annotations
 
 import enum
+import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 
@@ -76,7 +77,8 @@ class IncorrectOrderError(InvariantError):
 
 
 class CostModel(enum.Enum):
-    """How a finished run is priced.
+    """How a finished run is priced, applied to its query count where a
+    result row is built (``harness.run_trial``, the worst-case reports).
 
     ``COMPARISONS_ONLY`` counts oracle queries alone.
     ``COMPARISONS_PLUS_PLACEMENT`` additionally charges one placement step
@@ -99,6 +101,44 @@ def _show(value) -> str:
         return f"an int of {value.bit_length()} bits"
     text = repr(value)
     return text if len(text) <= 20 else text[:17] + "..."
+
+
+def _require_size(n) -> None:
+    """Raise unless ``n`` is an exact int >= 0: the size of an order."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {_show(n)}")
+
+
+def _shuffle(x: list, rng) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` would.
+
+    ``random.Random.shuffle`` is Fisher-Yates (Durstenfeld's Algorithm
+    235; TAOCP vol. 2, 3.4.2, Algorithm P): for i from len(x) - 1 down to
+    1 it swaps x[i] with x[j], j drawn by ``_randbelow(i + 1)``, which
+    draws ``getrandbits(k)`` with k = (i + 1).bit_length() until a value
+    <= i comes up.  This loop makes the same draws from a local
+    ``rng.getrandbits``, without a Python call per draw, so it gives the
+    same permutation and leaves the generator in the same state.  An rng
+    whose class replaces ``shuffle``, or draws without ``getrandbits``
+    (a ``random.Random`` subclass that only overrides ``random``), or is
+    no ``random.Random`` at all, is asked to ``shuffle`` itself.
+    """
+    cls = type(rng)
+    stock = sys.modules.get("random")  # loaded wherever a Random exists
+    if (
+        stock is None
+        or getattr(cls, "shuffle", None) is not stock.Random.shuffle
+        or getattr(cls, "_randbelow", None) is not stock.Random._randbelow
+    ):
+        rng.shuffle(x)
+        return
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def _require_rules(rules: Sequence[RuleId], n: int) -> None:
@@ -159,19 +199,27 @@ class GroundTruthOrder:
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(ranks={self.ranks!r})"
 
+    # The factories take any exact int n >= 0 and raise ValueError for
+    # anything else; what they build from range is a permutation unchecked.
+
     @classmethod
     def identity(cls, n: int) -> "GroundTruthOrder":
+        _require_size(n)
         return cls._built(tuple(range(n)))
 
     @classmethod
     def reversed_identity(cls, n: int) -> "GroundTruthOrder":
+        _require_size(n)
         return cls._built(tuple(range(n - 1, -1, -1)))
 
     @classmethod
     def shuffled(cls, n: int, rng) -> "GroundTruthOrder":
-        """Uniformly random order drawn from ``rng`` (a ``random.Random``)."""
+        """Uniformly random order drawn from ``rng`` (a ``random.Random``):
+        the ranks 0..n-1 shuffled by ``_shuffle``, so the same seed gives
+        the order ``rng.shuffle`` would and leaves ``rng`` in the same state."""
+        _require_size(n)
         ranks = list(range(n))
-        rng.shuffle(ranks)
+        _shuffle(ranks, rng)
         return cls._built(tuple(ranks))
 
     @property
@@ -343,16 +391,15 @@ def binary_insert(
 
 
 def learn_order(
-    universe: Iterable[RuleId],
-    oracle: CountingOracle,
-    strategy: str,
-    model: CostModel = CostModel.COMPARISONS_ONLY,
-) -> tuple[list[RuleId], int]:
+    universe: Iterable[RuleId], oracle: CountingOracle, strategy: str
+) -> list[RuleId]:
     """Learn the hidden order of ``universe`` by inserting rules one at a time.
 
     Rules are inserted in the order given (the presentation order).  Returns
     the learned sequence, in which each rule sits at its hidden rank among
-    the universe's ranks, and the run's step count under ``model``.
+    the universe's ranks.  The run's queries are added to
+    ``oracle.query_count``, its only count; a ``CostModel`` prices that
+    count where a result row is built.
 
     When ``oracle._batched()`` is false (``CountingOracle`` says when), each
     rule is placed by the strategy's search over one flat list of the rules
@@ -373,8 +420,10 @@ def learn_order(
     between the ends is searched for and indexed: ``buckets[b]`` holds the
     middle ranks in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a
     bucket never grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick
-    tree over bucket lengths.  p is a C-level bisection of the rule's own
-    bucket, plus the middle ranks in lower buckets (one
+    tree over bucket lengths.  A bucket's list is made when its first middle
+    rank lands, so a few rules of a huge domain make a few lists, not one
+    per ``_CHUNK`` ranks of the domain.  p is a C-level bisection of the
+    rule's own bucket, plus the middle ranks in lower buckets (one
     O(log(n / ``_CHUNK``)) walk of ``below``), plus the end ranks below it,
     which one bisection counts: every front is below the first rule's
     rank and every back at or above it.  p must lie in (0, m) or
@@ -389,8 +438,8 @@ def learn_order(
     is sorted by rank once at the end, in O(k log k) however large the
     domain.
 
-    Either way the learned sequence, the step count and any transcript are
-    those of the flat search.
+    Either way the learned sequence, the query count and any transcript
+    are those of the flat search.
     """
     finder = _position_finder(strategy)
     rules = list(universe)
@@ -398,17 +447,16 @@ def learn_order(
         raise EmptyUniverseError("cannot learn an order over zero rules")
     _require_rules(rules, oracle.order.n)
     if not oracle._batched():
-        before = oracle.query_count
         seq: list[RuleId] = []
         for x in rules:
             seq.insert(finder(seq, x, oracle), x)
-        return seq, model.steps(oracle.query_count - before, len(rules))
+        return seq
 
     ranks = oracle.order.ranks
     block = strategy == STRATEGY_BLOCK
     width = _CHUNK
     size = (len(ranks) - 1) // width + 1
-    buckets: list[list[int]] = [[] for _ in range(size)]
+    buckets: list[list[int] | None] = [None] * size
     # Fenwick tree over the lengths of every bucket but the last, which is
     # never below another: below[i] sums buckets[i - (i & -i):i].
     below = [0] * size
@@ -444,6 +492,8 @@ def learn_order(
         else:
             b = rx // width
             bucket = buckets[b]
+            if bucket is None:
+                bucket = buckets[b] = []
             p = j = bisect_right(bucket, rx)
             i = b
             while i:  # p += middle ranks in buckets[:b]
@@ -479,4 +529,4 @@ def learn_order(
     oracle.query_count += queries
     if not whole:
         learned = sorted(rules, key=ranks.__getitem__)
-    return learned, model.steps(queries, len(rules))
+    return learned

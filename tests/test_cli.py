@@ -322,7 +322,7 @@ class TestLearn:
         )
 
     def test_wrong_learned_order_prints_row_then_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "learn_order", lambda rules, *args: (list(rules), 0))
+        monkeypatch.setattr(harness, "learn_order", lambda rules, *args: list(rules))
         code, out, err = run_cli(
             capsys, "learn", "--n", "3", "--strategy", "block",
             "--permutation", "2,0,1", "--format", "json",
@@ -384,7 +384,7 @@ class TestWorstCase:
         assert cli.WORST_CASE_MODES == (harness.MODE_EXHAUSTIVE, harness.MODE_ADVERSARIAL)
 
     def test_wrong_adversarial_order_is_invariant_violation(self, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "learn_order", lambda rules, *args: (list(rules), 0))
+        monkeypatch.setattr(harness, "learn_order", lambda rules, *args: list(rules))
         code, _, err = run_cli(
             capsys, "worst-case", "--n", "3", "--strategy", "binary",
             "--mode", "adversarial",

@@ -168,7 +168,7 @@ class TestExhaustiveWorstCase:
         # Every presentation against every ground truth: n!^2 runs.
         for strategy in ("binary", "block"):
             worst = max(
-                learn_order(p, CountingOracle(GroundTruthOrder(r)), strategy)[1]
+                run_trial(n, strategy, GroundTruthOrder(r), p).steps
                 for p in itertools.permutations(range(n))
                 for r in itertools.permutations(range(n))
             )
@@ -238,9 +238,8 @@ class TestAdversarialGroundTruth:
             lambda seq: [*seq[:-1], seq[0]],
         )
         for wrong in wrongs:
-            def wrong_learner(rules, oracle, strategy, model, wrong=wrong):
-                seq, steps = learn_order(rules, oracle, strategy, model)
-                return wrong(seq), steps
+            def wrong_learner(rules, oracle, strategy, wrong=wrong):
+                return wrong(learn_order(rules, oracle, strategy))
 
             monkeypatch.setattr(harness, "learn_order", wrong_learner)
             with pytest.raises(IncorrectOrderError):
@@ -318,6 +317,17 @@ class TestRandomTrials:
     def test_rejects_zero_rules(self):
         with pytest.raises(ValueError):
             random_trials(0, "block", 5, seed=1)
+
+    @pytest.mark.parametrize(
+        "strategy, pinned",
+        [("binary", (89, 100, 95.01)), ("block", (136, 265, 196.85))],
+    )
+    def test_seeded_stream_is_pinned(self, strategy, pinned):
+        # Both shuffles of every trial draw from one seeded stream, so these
+        # counts change if either shuffle draws differently.
+        summary = random_trials(27, strategy, 100, 5, shuffle_presentation=True)
+        assert (summary.min_queries, summary.max_queries, summary.mean_queries) == pinned
+        assert summary.all_correct
 
     def test_has_no_cost_model_knob(self):
         # The summary counts oracle queries, which no cost model changes.

@@ -76,6 +76,33 @@ class TestGroundTruthOrder:
         assert GroundTruthOrder.reversed_identity(3).ranks == (2, 1, 0)
         assert sorted(GroundTruthOrder.shuffled(3, random.Random(1)).ranks) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "n, shown",
+        [(-3, "-3"), (-1, "-1"), (True, "True"), (2.5, "2.5"), ("4", "'4'"), (None, "None"),
+         (-10**5000, "an int of 16610 bits"), ("x" * 10**6, "'xxxxxxxxxxxxxxxx...")],
+        ids=["-3", "-1", "True", "2.5", "str", "None", "huge", "long-str"],
+    )
+    def test_factories_reject_what_is_not_a_size(self, n, shown):
+        # Each once built an empty or 1-rule order, or leaked a bare TypeError.
+        for factory in (
+            GroundTruthOrder.identity,
+            GroundTruthOrder.reversed_identity,
+            lambda n: GroundTruthOrder.shuffled(n, random.Random(1)),
+        ):
+            with pytest.raises(ValueError) as error:
+                factory(n)
+            assert type(error.value) is ValueError
+            assert str(error.value) == f"n must be a non-negative integer, got {shown}"
+
+    def test_factories_take_zero_rules(self):
+        empty = GroundTruthOrder(())
+        rng = random.Random(1)
+        state = rng.getstate()
+        assert GroundTruthOrder.identity(0) == empty
+        assert GroundTruthOrder.reversed_identity(0) == empty
+        assert GroundTruthOrder.shuffled(0, rng) == empty
+        assert rng.getstate() == state
+
     def test_shuffled_is_deterministic_per_seed(self):
         a = GroundTruthOrder.shuffled(20, random.Random(7))
         b = GroundTruthOrder.shuffled(20, random.Random(7))
@@ -111,7 +138,7 @@ class TestGroundTruthOrder:
         source[:] = [0, 0, 1]  # duplicate ranks, had the order kept the list
         assert order.ranks == (2, 0, 1)
         for strategy in ("block", "binary"):
-            seq, _ = learn_order(range(3), CountingOracle(order), strategy)
+            seq = learn_order(range(3), CountingOracle(order), strategy)
             assert seq == [1, 2, 0]
 
     def test_ranks_are_copied_before_the_check(self):
@@ -124,6 +151,70 @@ class TestGroundTruthOrder:
         order = GroundTruthOrder.shuffled(5, random.Random(3))
         for twin in (copy.copy(order), copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
             assert twin == order and hash(twin) == hash(order)
+
+
+class _KeepsGetrandbits(random.Random):
+    """A subclass whose draws still come from ``getrandbits``."""
+
+
+class _OwnGetrandbits(random.Random):
+    """A subclass with a getrandbits of its own, which shuffle then uses."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ 1
+
+
+class _OwnRandom(random.Random):
+    """A subclass that overrides random() only: its shuffle draws through
+    random(), not getrandbits."""
+
+    def random(self):
+        return super().random()
+
+
+class _OwnShuffle(random.Random):
+    def shuffle(self, x):
+        x.reverse()
+
+
+class _ShuffleOnly:
+    """Not a random.Random: all it offers is shuffle."""
+
+    def shuffle(self, x):
+        x.sort(reverse=True)
+
+
+class TestShuffle:
+    SIZES = (0, 1, 2, 3, 5, 8, 9, 27, 64, 65, 1000)
+
+    @pytest.mark.parametrize("rng_class", [random.Random, _KeepsGetrandbits, _OwnGetrandbits])
+    def test_same_permutation_and_state_as_random_shuffle(self, rng_class):
+        for seed in range(200):
+            for n in self.SIZES:
+                stock, ours = rng_class(seed), rng_class(seed)
+                expected, got = list(range(n)), list(range(n))
+                stock.shuffle(expected)
+                ordering._shuffle(got, ours)
+                assert got == expected, (seed, n)
+                assert ours.getstate() == stock.getstate(), (seed, n)
+
+    def test_draws_without_a_call_per_draw(self):
+        rng = random.Random(3)
+        calls = _calls_to(random.Random._randbelow, lambda: ordering._shuffle(list(range(27)), rng))
+        assert calls == 0
+
+    @pytest.mark.parametrize(
+        "make_rng",
+        [lambda: _OwnRandom(5), lambda: _OwnShuffle(5), _ShuffleOnly],
+        ids=["own-random", "own-shuffle", "shuffle-only"],
+    )
+    def test_other_rngs_shuffle_themselves(self, make_rng):
+        for n in (0, 1, 27):
+            stock, ours = make_rng(), make_rng()
+            expected, got = list(range(n)), list(range(n))
+            stock.shuffle(expected)
+            ordering._shuffle(got, ours)
+            assert got == expected
 
 
 class TestPrecedes:
@@ -277,26 +368,26 @@ class TestLearnOrder:
     def test_single_rule_zero_steps_both_models(self):
         for model in CostModel:
             oracle = oracle_for([0])
-            seq, steps = learn_order([0], oracle, "block", model)
-            assert (seq, steps) == ([0], 0)
+            assert learn_order([0], oracle, "block") == [0]
+            assert model.steps(oracle.query_count, 1) == 0
 
     def test_block_identity_worst_case_n3(self):
         oracle = oracle_for([0, 1, 2])
-        seq, steps = learn_order([0, 1, 2], oracle, "block")
+        seq = learn_order([0, 1, 2], oracle, "block")
         assert seq == [0, 1, 2]
-        assert steps == 3
+        assert oracle.query_count == 3
 
     def test_binary_identity_n3(self):
         oracle = oracle_for([0, 1, 2])
-        seq, steps = learn_order([0, 1, 2], oracle, "binary")
+        seq = learn_order([0, 1, 2], oracle, "binary")
         assert seq == [0, 1, 2]
-        assert steps == 2
+        assert oracle.query_count == 2
 
     def test_placement_model_adds_n_minus_one(self):
         oracle = oracle_for([0, 1, 2])
-        _, steps = learn_order([0, 1, 2], oracle, "block",
-                               CostModel.COMPARISONS_PLUS_PLACEMENT)
-        assert steps == 3 + 2
+        learn_order([0, 1, 2], oracle, "block")
+        assert CostModel.COMPARISONS_PLUS_PLACEMENT.steps(oracle.query_count, 3) == 3 + 2
+        assert CostModel.COMPARISONS_ONLY.steps(oracle.query_count, 3) == 3
 
     def test_empty_universe_rejected(self):
         oracle = oracle_for([0, 1])
@@ -323,15 +414,21 @@ class TestLearnOrder:
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     def test_steps_count_only_this_calls_queries(self, strategy):
-        # A recording oracle takes the per-query route; the queries it
-        # answered before this call are not charged to it.
-        oracle = oracle_for([3, 1, 4, 0, 2], record=True)
-        learn_order([0, 1, 2, 3, 4], oracle, strategy)
-        before = oracle.query_count
-        assert before > 0
-        seq, steps = learn_order([4, 3, 2, 1, 0], oracle, strategy)
-        assert seq == oracle.order.true_sequence()
-        assert steps == oracle.query_count - before == len(oracle.transcript) - before > 0
+        # On either route a call adds its own queries to the oracle's count
+        # and keeps the queries it answered before.  A recording oracle
+        # takes the per-query route, a plain one the batched route.
+        fresh = oracle_for([3, 1, 4, 0, 2])
+        learn_order([4, 3, 2, 1, 0], fresh, strategy)
+        assert fresh.query_count > 0
+        for record in (True, False):
+            oracle = oracle_for([3, 1, 4, 0, 2], record=record)
+            learn_order([0, 1, 2, 3, 4], oracle, strategy)
+            before = oracle.query_count
+            assert before > 0
+            seq = learn_order([4, 3, 2, 1, 0], oracle, strategy)
+            assert seq == oracle.order.true_sequence()
+            assert oracle.query_count - before == fresh.query_count
+            assert len(oracle.transcript) == (oracle.query_count if record else 0)
 
     def test_out_of_universe_rule_rejected(self):
         oracle = oracle_for([0, 1])
@@ -348,7 +445,7 @@ class TestExhaustiveCorrectness:
                 expected = order.true_sequence()
                 for presentation in itertools.permutations(range(n)):
                     oracle = CountingOracle(order)
-                    seq, _ = learn_order(presentation, oracle, strategy)
+                    seq = learn_order(presentation, oracle, strategy)
                     assert seq == expected
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
@@ -357,12 +454,12 @@ class TestExhaustiveCorrectness:
         n = 6
         for ranks in itertools.permutations(range(n)):
             order = GroundTruthOrder(ranks)
-            seq, _ = learn_order(range(n), CountingOracle(order), strategy)
+            seq = learn_order(range(n), CountingOracle(order), strategy)
             assert seq == order.true_sequence()
         pinned = GroundTruthOrder((3, 0, 5, 1, 4, 2))
         expected = pinned.true_sequence()
         for presentation in itertools.permutations(range(n)):
-            seq, _ = learn_order(presentation, CountingOracle(pinned), strategy)
+            seq = learn_order(presentation, CountingOracle(pinned), strategy)
             assert seq == expected
 
 
@@ -381,7 +478,7 @@ class TestLearnerProperties:
         ranks, presentation = pair
         order = GroundTruthOrder(tuple(ranks))
         oracle = CountingOracle(order)
-        seq, _ = learn_order(presentation, oracle, strategy)
+        seq = learn_order(presentation, oracle, strategy)
         assert seq == order.true_sequence()
 
     @settings(max_examples=150)
@@ -391,7 +488,7 @@ class TestLearnerProperties:
         seqs = []
         for strategy in ("block", "binary"):
             oracle = oracle_for(ranks)
-            seq, _ = learn_order(presentation, oracle, strategy)
+            seq = learn_order(presentation, oracle, strategy)
             seqs.append(seq)
         assert seqs[0] == seqs[1]
 
@@ -400,11 +497,11 @@ class TestLearnerProperties:
     def test_cost_models_differ_by_n_minus_one(self, pair, strategy):
         ranks, presentation = pair
         n = len(ranks)
-        _, comparisons = learn_order(presentation, oracle_for(ranks), strategy)
-        _, with_placement = learn_order(
-            presentation, oracle_for(ranks), strategy,
-            CostModel.COMPARISONS_PLUS_PLACEMENT,
-        )
+        order = GroundTruthOrder(tuple(ranks))
+        comparisons = run_trial(n, strategy, order, presentation).steps
+        with_placement = run_trial(
+            n, strategy, order, presentation, CostModel.COMPARISONS_PLUS_PLACEMENT
+        ).steps
         assert with_placement - comparisons == n - 1
 
     @settings(max_examples=150)
@@ -494,13 +591,13 @@ def assert_matches_reference(order, presentation, strategy):
     recording = CountingOracle(order, record=True)
     batched = CountingOracle(order)
     flat = CountingOracle(order, record=True)
-    seq, steps = learn_order(presentation, recording, strategy)
+    seq = learn_order(presentation, recording, strategy)
     universe = set(presentation)
     expected = [rule for rule in order.true_sequence() if rule in universe]
     assert seq == reference_learn(presentation, flat, strategy) == expected
-    assert steps == flat.query_count
+    assert recording.query_count == flat.query_count
     assert repr(recording.transcript) == repr(flat.transcript)
-    assert learn_order(presentation, batched, strategy) == (seq, steps)
+    assert learn_order(presentation, batched, strategy) == seq
     assert batched.query_count == flat.query_count
 
 
@@ -609,7 +706,7 @@ class TestSlotPlacement:
         universe = data.draw(st.permutations(range(n)))[:size]
         oracle = CountingOracle(order)
         assert oracle._batched()
-        seq, _ = learn_order(universe, oracle, strategy)
+        seq = learn_order(universe, oracle, strategy)
         assert seq == learned_by_sort(order, universe)
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
@@ -629,7 +726,7 @@ class TestSlotPlacement:
         order = GroundTruthOrder.shuffled(n, random.Random(9))
         universe = [rule for rule in range(n) if keep(order.ranks[rule], n)]
         random.Random(10).shuffle(universe)
-        seq, _ = learn_order(universe, CountingOracle(order), strategy)
+        seq = learn_order(universe, CountingOracle(order), strategy)
         assert seq == learned_by_sort(order, universe)
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
@@ -641,26 +738,29 @@ class TestSlotPlacement:
         presentation = random.Random(12).sample(range(200), 200)
         expected = true_sequence_by_sort(order)
         monkeypatch.setattr(ordering, "sorted", no_sort, raising=False)
-        assert learn_order(presentation, CountingOracle(order), strategy)[0] == expected
+        assert learn_order(presentation, CountingOracle(order), strategy) == expected
         with pytest.raises(AssertionError, match="sorted"):
             learn_order(presentation[:100], CountingOracle(order), strategy)
 
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     def test_a_few_rules_of_a_huge_domain_allocate_no_slot_per_rank(self, strategy):
         # A list of 10**6 slots would take 8 MB; a strict subset is sorted
-        # instead.  The order is built before tracing starts.
+        # instead.  977 buckets cover the 10**6 ranks: made up front, their
+        # empty lists took about 68 KB; made as middle rules land, the rank
+        # index is two lists of 977 slots, about 16 KB.  The order is built
+        # before tracing starts.
         n = 10**6
         order = GroundTruthOrder.reversed_identity(n)
         universe = random.Random(13).sample(range(n), 10)
         oracle = CountingOracle(order)
         tracemalloc.start()
         try:
-            seq, _ = learn_order(universe, oracle, strategy)
+            seq = learn_order(universe, oracle, strategy)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert seq == sorted(universe, reverse=True)
-        assert peak < 1 << 20
+        assert peak < 32 << 10
 
 
 # ----------------------------------------------------------------------
@@ -694,16 +794,15 @@ END_CHUNKS = (1, 2, 3, 7, ordering._CHUNK)
 
 def assert_batched_matches_recording(order, presentation, strategy, chunks, monkeypatch):
     recording = CountingOracle(order, record=True)
-    seq, queries = learn_order(presentation, recording, strategy)
+    seq = learn_order(presentation, recording, strategy)
+    queries = recording.query_count
     n = len(presentation)
     for chunk in chunks:
         monkeypatch.setattr(ordering, "_CHUNK", chunk)
         for model in CostModel:
             batched = CountingOracle(order)
-            assert learn_order(presentation, batched, strategy, model) == (
-                seq,
-                model.steps(queries, n),
-            )
+            assert learn_order(presentation, batched, strategy) == seq
+            assert model.steps(batched.query_count, n) == model.steps(queries, n)
             assert batched.query_count == queries
 
 
@@ -790,12 +889,15 @@ class TestQueryCosts:
         for m in range(65):
             placed = [2 * i + 1 for i in range(m)]
             order = GroundTruthOrder.identity(2 * m + 1)
-            before = learn_order(placed, CountingOracle(order), strategy)[1] if m else 0
+            before = CountingOracle(order)
+            if m:
+                learn_order(placed, before, strategy)
             for p in range(m + 1):
                 flat = CountingOracle(order)
                 assert FLAT_FINDERS[strategy](placed, 2 * p, flat) == p
-                _, steps = learn_order([*placed, 2 * p], CountingOracle(order), strategy)
-                assert steps - before == flat.query_count
+                oracle = CountingOracle(order)
+                learn_order([*placed, 2 * p], oracle, strategy)
+                assert oracle.query_count - before.query_count == flat.query_count
 
 
 def _calls_to(function, run):

@@ -97,3 +97,34 @@ class TestTable:
             " | 0.16 [0.155, 0.165] | -20.0% | 3/3 |",
             "| learn-binary-large | failed / attempted | 0 / 300 | 3 / 360 | | |",
         ]
+
+
+class TestSetupSpawns:
+    def test_summary_of_pairwise_spawn_times(self):
+        parent = [0.10, 0.12, 0.09, 0.11, 0.30]
+        change = [0.09, 0.13, 0.08, 0.10, 0.09]
+        row = pairs.setup_summary(parent, change)
+        assert row["metric"] == "setup_s" and row["better"] == "lower"
+        assert row["parent"] == {"q1": 0.10, "median": 0.11, "q3": 0.12}
+        assert row["change"]["median"] == 0.09
+        assert (row["wins"], row["pairs"]) == (4, 5)
+        assert row["parent_iqr"] == pytest.approx(0.02)
+        assert not row["gain"]
+
+    def test_a_slow_spell_on_both_sides_is_no_gain(self):
+        # One slow spawn on each side of the same pair moves neither median.
+        parent = [0.1] * 19 + [0.5]
+        change = [0.1] * 19 + [0.6]
+        row = pairs.setup_summary(parent, change)
+        assert (row["change_frac"], row["wins"], row["gain"]) == (0.0, 0, False)
+
+    def test_line_printed_under_the_table(self):
+        row = pairs.setup_summary([0.2, 0.19, 0.21], [0.15, 0.16, 0.17])
+        assert pairs.setup_line(row) == (
+            "--setup-only spawns (3 a side): parent 0.2 [0.195, 0.205] s,"
+            " change 0.16 [0.155, 0.165] s, -20.0%, change faster in 3/3"
+        )
+
+    def test_runs_must_pair_up(self):
+        with pytest.raises(ValueError):
+            pairs.setup_summary([0.1, 0.2], [0.1])

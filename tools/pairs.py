@@ -22,11 +22,20 @@ the medians, and the pairs the change won (strictly better, so equal counts
 win nothing), then the failed / attempted operations of each side.  A gain
 is resolved when the change wins at least nine pairs in ten and its median
 is better than the parent's by more than the parent's interquartile range.
-Everything, with every run's metrics, goes to ``BENCH_<workload>.json`` at
-the top of the checkout (``--out`` to change it).  The record names each
-side's commit and the git tree of its ``src`` directory; the tree hash
-depends only on the files, so it still ties the record to the code when
-the change was run as a commit that is not in the history.
+
+After the pairs it times ``SETUP_SPAWNS`` alternating spawns of
+``perfbench/run.py --setup-only`` per side, each from start to exit, and
+prints their medians and wins under the table.  Each run's ``setup_s`` is
+the median of only a few such spawns, so a ``setup_s`` reading past its
+bound can be checked against these many spawns of the same two trees, made
+on the same host in the same minutes.
+
+Everything, with every run's metrics and every spawn's time, goes to
+``BENCH_<workload>.json`` at the top of the checkout (``--out`` to change
+it).  The record names each side's commit and the git tree of its ``src``
+directory; the tree hash depends only on the files, so it still ties the
+record to the code when the change was run as a commit that is not in the
+history.
 """
 
 from __future__ import annotations
@@ -40,11 +49,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a gain is judged on
 WIN_SHARE = 0.9  # a resolved gain wins at least this share of the pairs
+SETUP_SPAWNS = 20  # --setup-only spawns per side, timed after the pairs
+SETUP = {"name": "setup_s", "better": "lower"}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -106,22 +118,54 @@ def table(workload: str, rows: list[dict], parent: list[dict], change: list[dict
     return "\n".join(lines)
 
 
+def setup_summary(parent: list[float], change: list[float]) -> dict:
+    """``summarize``'s row for the spawn-to-exit seconds of pairwise
+    ``--setup-only`` spawns, ``parent[i]`` against ``change[i]``."""
+    runs = [[{"metrics": {SETUP["name"]: {"value": t}}} for t in side]
+            for side in (parent, change)]
+    (row,) = summarize(*runs, [SETUP])
+    return row
+
+
+def setup_line(row: dict) -> str:
+    """The spawns' summary as printed under the table."""
+    return (f"--setup-only spawns ({row['pairs']} a side): parent {_cell(row['parent'])} s,"
+            f" change {_cell(row['change'])} s, {row['change_frac']:+.1%},"
+            f" change faster in {row['wins']}/{row['pairs']}")
+
+
 def _git(*args: str, cwd: Path) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """perfbench's last stdout line, a JSON object, from one run in ``tree``."""
+def _perfbench(tree: Path, workload: str, seed: int, seconds: float, *extra: str):
+    """One ``perfbench/run.py`` run in ``tree``, compiled from source, and
+    its start-to-exit seconds."""
     for cache in tree.rglob("__pycache__"):
         shutil.rmtree(cache)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
+    start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), *extra],
         cwd=tree, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
     )
+    return done, time.perf_counter() - start
+
+
+def time_setup(tree: Path, workload: str, seed: int) -> float:
+    """Start-to-exit seconds of one ``--setup-only`` spawn in ``tree``."""
+    done, seconds = _perfbench(tree, workload, seed, 0, "--setup-only")
+    if done.returncode != 0:
+        raise SystemExit(f"--setup-only in {tree} failed: {done.stderr[-500:]}")
+    return seconds
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """perfbench's last stdout line, a JSON object, from one run in ``tree``."""
+    done, _ = _perfbench(tree, workload, seed, seconds)
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"perfbench in {tree} printed nothing (exit {done.returncode}):"
@@ -157,6 +201,10 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side].append(run_side(trees[side], args.workload,
                                                args.seed, seconds))
                 print(f"pair {i + 1}/{PAIRS} done", file=sys.stderr)
+            spawns: dict[str, list[float]] = {side: [] for side in SIDES}
+            for i in range(SETUP_SPAWNS):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    spawns[side].append(time_setup(trees[side], args.workload, args.seed))
         finally:
             for side in SIDES:
                 if trees[side].exists():
@@ -164,7 +212,9 @@ def main(argv: list[str] | None = None) -> int:
             _git("worktree", "prune", cwd=top)
 
     rows = summarize(runs["parent"], runs["change"], spec["end_to_end"])
+    setup = setup_summary(spawns["parent"], spawns["change"])
     print(table(args.workload, rows, runs["parent"], runs["change"]))
+    print(setup_line(setup))
     for row in rows:
         if row["gain"]:
             print(f"resolved gain: {row['metric']} ({row['wins']}/{row['pairs']} wins,"
@@ -181,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         "nproc": os.cpu_count(),
         "summary": rows,
         "runs": runs,
+        "setup_spawns": {"summary": setup, "seconds": spawns},
     }
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
