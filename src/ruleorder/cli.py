@@ -27,6 +27,7 @@ from .ordering import (
     IncorrectOrderError,
     InvariantError,
     OrderingError,
+    _require_int,
     _show,
 )
 
@@ -168,7 +169,7 @@ def _int(text: str) -> int:
 
 
 def _positive_n(args) -> int:
-    complexity._require_positive(args.n, "--n")
+    _require_int(args.n, 1, "--n")
     return args.n
 
 
@@ -205,7 +206,7 @@ def _load_permutation(value: str, n: int) -> GroundTruthOrder:
     else:
         raise ValueError(f"permutation file not found: {_show(value)}")
     if len(ranks) != n:
-        raise ValueError(f"permutation has {len(ranks)} ranks, expected {n}")
+        raise ValueError(f"permutation has {len(ranks)} ranks, expected {_show(n)}")
     return GroundTruthOrder(ranks)
 
 
@@ -223,7 +224,9 @@ def _cmd_learn(args) -> int:
 
     n = _positive_n(args)
     model = CostModel(args.cost_model)
-    presentation = list(range(n))
+    # None presents 0..n-1, built by run_trial after the ground truth,
+    # whose factory rejects an n too large to build with a short error.
+    presentation = None
     if args.adversarial:
         ground_truth, presentation = harness.adversarial_ground_truth(n, args.strategy)
         source = "adversarial"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .ordering import InvariantError, _show
+from .ordering import InvariantError, _require_int, _show
 
 DAYS_PER_YEAR = 365.25
 
@@ -31,14 +31,9 @@ _GUARD = 12
 _LOG10_2 = math.log10(2)
 
 
-def _require_positive(value: int, name: str = "n") -> None:
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {_show(value)}")
-
-
 def ceil_log2(k: int) -> int:
     """Smallest integer >= log2(k), exact for arbitrarily large integers."""
-    _require_positive(k, "k")
+    _require_int(k, 1, "k")
     return (k - 1).bit_length()
 
 
@@ -47,7 +42,7 @@ def block_steps_exact(n: int) -> int:
 
     The first rule is placed without any test, so the i = 1 term drops out.
     """
-    _require_positive(n)
+    _require_int(n, 1)
     return (n * n - n) // 2 + n - 1
 
 
@@ -57,7 +52,7 @@ def binary_steps(n: int) -> int:
     Evaluated in O(1) with Knuth's closed form n*L - 2**L + 1, where
     L = ceil(log2 n) (TAOCP vol. 3, section 5.3.1).
     """
-    _require_positive(n)
+    _require_int(n, 1)
     levels = ceil_log2(n)
     return n * levels - (1 << levels) + 1
 
@@ -67,7 +62,7 @@ def log_factorial(n: int) -> float:
 
     Never materialises n! itself, so it stays cheap for large n.
     """
-    _require_positive(n)
+    _require_int(n, 1)
     return math.fsum(map(math.log2, range(1, n + 1)))
 
 
@@ -82,13 +77,13 @@ def binary_steps_approx(n: int) -> int:
 
 def naive_steps(n: int) -> int:
     """Steps of brute-force enumeration over all orderings: n!, exact."""
-    _require_positive(n)
+    _require_int(n, 1)
     return math.factorial(n)
 
 
 def speedup(n: int) -> float:
     """How many times fewer steps binary insertion needs than linear scan."""
-    _require_positive(n)
+    _require_int(n, 1)
     if n < 2:
         raise ValueError(f"speedup needs n >= 2 (binary_steps({n}) is 0)")
     return block_steps_exact(n) / binary_steps(n)
@@ -96,8 +91,7 @@ def speedup(n: int) -> float:
 
 def learning_duration(steps: int, steps_per_day: float) -> float:
     """Years needed to spend ``steps`` at a rate of ``steps_per_day``."""
-    if type(steps) is not int or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {_show(steps)}")
+    _require_int(steps, 0, "steps")
     rate = steps_per_day
     if type(rate) is bool or not isinstance(rate, (int, float)) or not rate > 0:
         raise ValueError(f"steps_per_day must be a positive number, got {_show(rate)}")
@@ -117,7 +111,7 @@ def scientific(value: int, digits: int = 6) -> str:
     # Imported here: commands that print no e-notation never load decimal.
     from decimal import Context, Decimal
 
-    _require_positive(digits, "digits")
+    _require_int(digits, 1, "digits")
     if type(value) is not int:
         raise ValueError(f"value must be an integer, got {_show(value)}")
     context = Context(prec=digits)
@@ -188,13 +182,14 @@ class ComplexityReport(
 def report(n: int) -> ComplexityReport:
     """Evaluate every predictor at ``n``."""
     log2_factorial = log_factorial(n)
+    s_n, b_n = block_steps_exact(n), binary_steps(n)
     return ComplexityReport(
         n=n,
-        s_n=block_steps_exact(n),
-        b_n=binary_steps(n),
+        s_n=s_n,
+        b_n=b_n,
         b_f_n=math.ceil(log2_factorial),
         log_factorial=log2_factorial,
-        speedup=speedup(n) if n >= 2 else None,
+        speedup=s_n / b_n if n >= 2 else None,
         naive=naive_steps(n),
     )
 

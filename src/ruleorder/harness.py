@@ -14,7 +14,6 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 
-from . import complexity
 from .complexity import TABLE_SIZES, comparison_table  # noqa: F401  re-exported
 from .ordering import (
     STRATEGY_BLOCK,
@@ -26,6 +25,7 @@ from .ordering import (
     RuleId,
     SizeLimitError,
     _position_finder,
+    _require_int,
     _show,
     _shuffle,
     learn_order,
@@ -95,6 +95,7 @@ def run_trial(
     source: str = "explicit",
 ) -> TrialResult:
     """Run one learner against a fresh oracle and report its counts."""
+    _require_int(n, 1)
     if ground_truth.n != n:
         raise InvalidPermutationError(
             f"ground truth has {ground_truth.n} rules, expected {_show(n)}"
@@ -138,7 +139,7 @@ def exhaustive_worst_case(
     with the same answer, so each run asks as many queries as the original
     instance.
     """
-    complexity._require_positive(n)
+    _require_int(n, 1)
     if n > EXHAUSTIVE_CAP_FIXED:
         raise SizeLimitError(
             f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {_show(n)}"
@@ -177,12 +178,12 @@ def adversarial_ground_truth(
     of the search tree for every window size (each halving keeps the larger,
     left half), so each insertion into m rules costs ceil(log2(m + 1)).
     """
-    complexity._require_positive(n)
+    _require_int(n, 1)
     _position_finder(strategy)  # raises ValueError for an unknown strategy
-    presentation = list(range(n))
+    # The order is built first: its factory rejects an n too large to build.
     if strategy == STRATEGY_BLOCK:
-        return GroundTruthOrder.identity(n), presentation
-    return GroundTruthOrder.reversed_identity(n), presentation
+        return GroundTruthOrder.identity(n), list(range(n))
+    return GroundTruthOrder.reversed_identity(n), list(range(n))
 
 
 def adversarial_worst_case(
@@ -222,8 +223,8 @@ def random_trials(
     ``shuffle_presentation`` is keyword-only: a stray fifth positional
     argument fails instead of turning shuffling on.
     """
-    complexity._require_positive(n)
-    complexity._require_positive(trials, "trials")
+    _require_int(n, 1)
+    _require_int(trials, 1, "trials")
 
     rng = random.Random(seed)
     counts: list[int] = []

@@ -103,10 +103,15 @@ def _show(value) -> str:
     return text if len(text) <= 20 else text[:17] + "..."
 
 
-def _require_size(n) -> None:
-    """Raise unless ``n`` is an exact int >= 0: the size of an order."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {_show(n)}")
+def _require_int(value, least: int = 0, name: str = "n", most: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an exact int >= ``least``
+    (0 or 1) and, if ``most`` is given, <= ``most``: the one check of every
+    size and count.  True and 2.0 equal 1 and 2, and only their type tells."""
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {_show(value)}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {_show(value)}")
 
 
 def _shuffle(x: list, rng) -> None:
@@ -118,18 +123,12 @@ def _shuffle(x: list, rng) -> None:
     draws ``getrandbits(k)`` with k = (i + 1).bit_length() until a value
     <= i comes up.  This loop makes the same draws from a local
     ``rng.getrandbits``, without a Python call per draw, so it gives the
-    same permutation and leaves the generator in the same state.  An rng
-    whose class replaces ``shuffle``, or draws without ``getrandbits``
-    (a ``random.Random`` subclass that only overrides ``random``), or is
-    no ``random.Random`` at all, is asked to ``shuffle`` itself.
+    same permutation and leaves the generator in the same state.  Only an
+    exact ``random.Random``, which every caller passes, takes this loop;
+    any other rng, a subclass included, is asked to ``shuffle`` itself.
     """
-    cls = type(rng)
     stock = sys.modules.get("random")  # loaded wherever a Random exists
-    if (
-        stock is None
-        or getattr(cls, "shuffle", None) is not stock.Random.shuffle
-        or getattr(cls, "_randbelow", None) is not stock.Random._randbelow
-    ):
+    if stock is None or type(rng) is not stock.Random:
         rng.shuffle(x)
         return
     getrandbits = rng.getrandbits
@@ -199,17 +198,18 @@ class GroundTruthOrder:
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(ranks={self.ranks!r})"
 
-    # The factories take any exact int n >= 0 and raise ValueError for
-    # anything else; what they build from range is a permutation unchecked.
+    # The factories take any exact int 0 <= n <= sys.maxsize, the largest
+    # length a Python sequence can have, and raise ValueError for anything
+    # else; what they build from range is a permutation unchecked.
 
     @classmethod
     def identity(cls, n: int) -> "GroundTruthOrder":
-        _require_size(n)
+        _require_int(n, most=sys.maxsize)
         return cls._built(tuple(range(n)))
 
     @classmethod
     def reversed_identity(cls, n: int) -> "GroundTruthOrder":
-        _require_size(n)
+        _require_int(n, most=sys.maxsize)
         return cls._built(tuple(range(n - 1, -1, -1)))
 
     @classmethod
@@ -217,7 +217,7 @@ class GroundTruthOrder:
         """Uniformly random order drawn from ``rng`` (a ``random.Random``):
         the ranks 0..n-1 shuffled by ``_shuffle``, so the same seed gives
         the order ``rng.shuffle`` would and leaves ``rng`` in the same state."""
-        _require_size(n)
+        _require_int(n, most=sys.maxsize)
         ranks = list(range(n))
         _shuffle(ranks, rng)
         return cls._built(tuple(ranks))
@@ -407,11 +407,15 @@ def learn_order(
     binary, asking every query.  Placement then moves O(n^2) list entries
     in all.
 
-    Otherwise the oracle is asked nothing.  The run is charged what the
-    strategy's flat search would have asked to land where the rule belongs
-    among the m rules placed so far.  A rule ranked above every placed rank
-    lands at p = m: it is appended to ``backs`` and charged m for block (a
-    full scan) and floor(log2(m + 1)) for binary (the rightmost leaf of the
+    Otherwise the oracle is asked nothing, and a universe of k rules is
+    run over the ranks 0..k - 1.  A strict subset of the domain is sorted
+    by rank once, up front, and each rule is ranked among the k: O(k log k)
+    however large the domain.  The queries depend only on the order of the
+    ranks, which this keeps.  The run is charged what the strategy's flat
+    search would have asked to land where the rule belongs among the m
+    rules placed so far.  A rule ranked above every placed rank lands at
+    p = m: it is appended to ``backs`` and charged m for block (a full
+    scan) and floor(log2(m + 1)) for binary (the rightmost leaf of the
     halving search, its shallowest).  A rule ranked below them all lands at
     p = 0: its negated rank is appended to ``fronts`` and it is charged 1
     for block and ceil(log2(m + 1)) for binary (the leftmost leaf, its
@@ -420,23 +424,20 @@ def learn_order(
     between the ends is searched for and indexed: ``buckets[b]`` holds the
     middle ranks in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a
     bucket never grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick
-    tree over bucket lengths.  A bucket's list is made when its first middle
-    rank lands, so a few rules of a huge domain make a few lists, not one
-    per ``_CHUNK`` ranks of the domain.  p is a C-level bisection of the
-    rule's own bucket, plus the middle ranks in lower buckets (one
-    O(log(n / ``_CHUNK``)) walk of ``below``), plus the end ranks below it,
-    which one bisection counts: every front is below the first rule's
-    rank and every back at or above it.  p must lie in (0, m) or
-    ``InvariantError`` is raised, and the run is charged p + 1 queries for
-    block and the probe count of the halving search for binary.  An end
-    landing costs one append; placing a middle rule moves at most
-    ``_CHUNK`` ranks and updates O(log(n / ``_CHUNK``)) tree entries, so a
-    run costs O(n * (``_CHUNK`` + log n)) time whatever its query count.
-    When the universe is the whole domain, the learned sequence is built by
-    slot = rank: as each rule lands it is stored in the slot of a list of n
-    that its rank names, in O(n) with no sort.  A strict subset of k rules
-    is sorted by rank once at the end, in O(k log k) however large the
-    domain.
+    tree over bucket lengths.  A bucket's list is made when its first
+    middle rank lands, which keeps the fixed cost of a small run down.  p
+    is a C-level bisection of the rule's own bucket, plus the middle ranks
+    in lower buckets (one O(log(k / ``_CHUNK``)) walk of ``below``), plus
+    the end ranks below it, which one bisection counts: every front is
+    below the first rule's rank and every back at or above it.  p must lie
+    in (0, m) or ``InvariantError`` is raised, and the run is charged
+    p + 1 queries for block and the probe count of the halving search for
+    binary.  An end landing costs one append; placing a middle rule moves
+    at most ``_CHUNK`` ranks and updates O(log(k / ``_CHUNK``)) tree
+    entries, so a run costs O(k * (``_CHUNK`` + log k)) time whatever its
+    query count.  The learned sequence is built by slot = rank: as each
+    rule lands it is stored in the slot of a list of k that its rank
+    names, with no closing sort.
 
     Either way the learned sequence, the query count and any transcript
     are those of the flat search.
@@ -453,9 +454,17 @@ def learn_order(
         return seq
 
     ranks = oracle.order.ranks
+    if len(rules) < len(ranks):
+        # Rank a strict subset among itself, so the run below is always
+        # over ranks 0..len(rules) - 1.
+        ranks = {x: i for i, x in enumerate(sorted(rules, key=ranks.__getitem__))}
     block = strategy == STRATEGY_BLOCK
     width = _CHUNK
-    size = (len(ranks) - 1) // width + 1
+    size = (len(rules) - 1) // width + 1
+    # A bucket's list is made when its first middle rank lands.  Making
+    # them all up front, as one list comprehension, is a fixed cost of every
+    # small run: exhaustive_worst_case(6, .) took 4.8% (binary) and 7.4%
+    # (block) longer (CPython 3.11, shared 2-vCPU x86-64).
     buckets: list[list[int] | None] = [None] * size
     # Fenwick tree over the lengths of every bucket but the last, which is
     # never below another: below[i] sums buckets[i - (i & -i):i].
@@ -470,17 +479,15 @@ def learn_order(
     first = lowest = highest = ranks[rules[0]]
     backs: list[int] = []
     fronts: list[int] = []
-    # The rules are distinct, so len(rules) == n means the whole domain and
-    # slot = rank fills every slot; a strict subset is sorted at the end.
-    # This store repeats true_sequence(), but keeps the rule objects the
-    # loop already holds: calling true_sequence() after the loop makes n new
-    # ints and lost the whole gain on learn-binary-large.
-    whole = len(rules) == len(ranks)
-    learned = [0] * len(ranks) if whole else None
+    # The ranks are 0..len(rules) - 1, so each rule is stored in the slot
+    # its rank names as it lands.  This repeats true_sequence(), but keeps
+    # the rule objects the loop already holds: calling true_sequence()
+    # after the loop makes n new ints and lost the whole gain on
+    # learn-binary-large.
+    learned = [0] * len(rules)
     for m, x in enumerate(rules):
         rx = ranks[x]
-        if whole:
-            learned[rx] = x
+        learned[rx] = x
         if rx >= highest:  # lands at p = m: a full scan, the rightmost leaf
             queries += m if block else (m + 1).bit_length() - 1
             backs.append(rx)
@@ -527,6 +534,4 @@ def learn_order(
                 below[i] += 1
                 i += i & -i
     oracle.query_count += queries
-    if not whole:
-        learned = sorted(rules, key=ranks.__getitem__)
     return learned

@@ -332,6 +332,34 @@ class TestLearn:
         assert err == "error: learned order does not match the ground truth\n"
 
 
+class TestSizesTooLargeToBuild:
+    # 10**20 rules pass --n's check but not range(n), which once leaked a
+    # traceback; the ground truth is built first and rejects them.
+    N = str(10**20)
+    TOO_LARGE = f"error: n must be at most {sys.maxsize}, got an int of 67 bits\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("learn", "--strategy", "block", "--adversarial"),
+            ("learn", "--strategy", "binary", "--seed", "1"),
+            ("worst-case", "--strategy", "binary", "--mode", "adversarial"),
+        ],
+        ids=["learn-adversarial", "learn-seed", "worst-case-adversarial"],
+    )
+    def test_short_error(self, capsys, argv):
+        assert run_cli(capsys, *argv, "--n", self.N) == (1, "", self.TOO_LARGE)
+
+    @pytest.mark.parametrize(
+        "n, shown", [(N, "an int of 67 bits"), ("9" * 4000, "an int of 13288 bits")],
+        ids=["10**20", "4000-digits"],
+    )
+    def test_permutation_length_quotes_n_short(self, capsys, n, shown):
+        argv = ("learn", "--strategy", "block", "--permutation", "1,0", "--n", n)
+        err = f"error: permutation has 2 ranks, expected {shown}\n"
+        assert run_cli(capsys, *argv) == (1, "", err)
+
+
 class TestWorstCase:
     def test_exhaustive_binary_5(self, capsys):
         code, out, _ = run_cli(

@@ -327,6 +327,18 @@ class TestReport:
             with pytest.raises(ValueError):
                 report(n)
 
+    def test_each_predictor_runs_once(self, monkeypatch):
+        # speedup comes from the s_n and b_n the report already holds.
+        calls = []
+        for name in ("block_steps_exact", "binary_steps", "speedup"):
+            function = getattr(complexity, name)
+            monkeypatch.setattr(
+                complexity, name,
+                lambda n, name=name, function=function: calls.append(name) or function(n),
+            )
+        assert report(27).speedup == pytest.approx(3.625)
+        assert sorted(calls) == ["binary_steps", "block_steps_exact"]
+
     def test_broken_predictor_raises_invariant_error(self, monkeypatch):
         monkeypatch.setattr(complexity, "binary_steps", lambda n: n * n)
         with pytest.raises(InvariantError, match="b_n < n log2"):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 
 import pytest
 from oracles import true_sequence_by_sort
@@ -69,6 +70,13 @@ class TestRunTrial:
             run_trial(4, "block", GroundTruthOrder.identity(3))
         with pytest.raises(InvalidPermutationError, match="expected an int of 16610 bits$"):
             run_trial(10**5000, "block", GroundTruthOrder.identity(3))
+
+    @pytest.mark.parametrize("n, size", [(0, 0), (True, 1), (2.0, 2), ("2", 2), (None, 0)])
+    def test_rejects_what_is_not_a_positive_size(self, n, size):
+        # True once ran as n = 1 and 2.0 leaked a bare TypeError.
+        with pytest.raises(ValueError) as error:
+            run_trial(n, "block", GroundTruthOrder.identity(size))
+        assert str(error.value) == f"n must be a positive integer, got {n!r}"
 
     def test_rejects_bad_presentation(self):
         with pytest.raises(InvalidPermutationError):
@@ -251,6 +259,16 @@ class TestAdversarialGroundTruth:
         for n in (0, 2.5):
             with pytest.raises(ValueError):
                 adversarial_ground_truth(n, "binary")
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_a_size_too_large_to_build_is_a_short_error(self, strategy):
+        # Each once leaked a bare OverflowError from range(n).
+        message = f"n must be at most {sys.maxsize}, got an int of 67 bits"
+        for call in (adversarial_ground_truth, adversarial_worst_case,
+                     lambda n, s: random_trials(n, s, 1, seed=1)):
+            with pytest.raises(ValueError) as error:
+                call(10**20, strategy)
+            assert str(error.value) == message
 
     @pytest.mark.parametrize("m", range(0, 200))
     def test_front_position_has_maximal_search_depth(self, m):
