@@ -3,9 +3,10 @@
 Every command writes its rows through ``_emit`` in one of three formats
 (``human``, ``csv``, ``json``); csv and json share field names and ordering,
 so the two are interchangeable for scripting.  Exit codes: 0 success, 1 usage
-or input error, 2 internal invariant violation (a run that learned a wrong
-order, which ``learn`` reports after its row, or predictors that break their
-proven bounds); ``main`` alone maps errors to codes.
+or input error (or a run that ran out of memory), 2 internal invariant
+violation (a run that learned a wrong order, which ``learn`` reports after
+its row, or predictors that break their proven bounds); ``main`` alone maps
+errors to codes.
 
 Each command imports only what it runs: ``harness`` (and with it
 ``dataclasses``) is loaded by ``learn`` and ``worst-case`` alone, and
@@ -341,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVARIANT
     except (OrderingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # a backstop: the run needs more memory than the process may have
+        print("error: out of memory; try a smaller --n", file=sys.stderr)
         return EXIT_USAGE
 
 

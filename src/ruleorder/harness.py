@@ -2,8 +2,16 @@
 
 Instances come in three flavours: exhaustive (every permutation, small n),
 adversarial (constructions that attain the worst-case formulas), and random
-(seeded unbiased shuffles).  Each driver call uses counting oracles of its
-own, so calls share nothing and can be executed in any order.
+(seeded unbiased shuffles).  ``run_trial``, and with it
+``adversarial_worst_case``, learns through ``learn_order`` and a counting
+oracle of its own, so its rules get ``learn_order``'s full check.
+``exhaustive_worst_case`` and ``random_trials`` build every presentation
+and ground truth themselves as permutations, so they call the unchecked
+core ``ordering._learn_ranks`` directly: no oracle, no copy and no rule
+check per run, only one strategy check per call.  While a wrapper replaces
+``learn_order`` here or ``CountingOracle.precedes``, they learn through
+``learn_order`` instead, so it sees every run (``_learner``).  Calls share
+nothing and can be executed in any order.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 
 from .complexity import TABLE_SIZES, comparison_table  # noqa: F401  re-exported
 from .ordering import (
+    STRATEGY_BINARY,
     STRATEGY_BLOCK,
     CostModel,
     CountingOracle,
@@ -24,10 +33,13 @@ from .ordering import (
     InvalidPermutationError,
     RuleId,
     SizeLimitError,
+    _block_position,
+    _learn_ranks,
     _position_finder,
     _require_int,
     _show,
     _shuffle,
+    _STOCK_PRECEDES,
     learn_order,
 )
 
@@ -78,12 +90,44 @@ class TrialSummary(
     __slots__ = ()
 
 
-def _learned_in_rank_order(learned: list[RuleId], ranks: tuple[int, ...]) -> bool:
+# The learn_order this module imported.  The drivers compare the name with
+# it on each call: a replacement, such as a wrapper, means runs are watched.
+_LEARN_ORDER = learn_order
+
+
+def _learned_in_rank_order(
+    learned: list[RuleId], ranks: tuple[int, ...], in_order: list[int] | None = None
+) -> bool:
     """True iff ``learned`` lists every rule once, by rank: ``learned[i]``
-    has rank i.  One O(n) pass, not a second sort by rank.  ``learned``
-    comes from ``learn_order``, which only returns rules it has checked, so
+    has rank i.  One O(n) pass, not a second sort by rank.  ``in_order`` is
+    ``list(range(len(ranks)))``, made here unless a caller that checks many
+    runs passes its own.  ``learned`` comes from ``learn_order`` or
+    ``_learn_ranks``, whose rules are checked or built by the caller, so
     each one indexes ``ranks`` as itself."""
-    return [ranks[x] for x in learned] == list(range(len(ranks)))
+    if in_order is None:
+        in_order = list(range(len(ranks)))
+    return [ranks[x] for x in learned] == in_order
+
+
+def _learner():
+    """``_learn_ranks``, unless a run could be watched: when ``learn_order``
+    here or ``CountingOracle.precedes`` has been replaced (a wrapper that
+    counts runs or queries), ``_learn_watched`` instead, so the replacement
+    sees every run and every query as it did before the drivers called the
+    core."""
+    if learn_order is _LEARN_ORDER and CountingOracle.precedes is _STOCK_PRECEDES:
+        return _learn_ranks
+    return _learn_watched
+
+
+def _learn_watched(
+    rules, ranks: tuple[int, ...], block: bool
+) -> tuple[list[RuleId], int]:
+    """``_learn_ranks(rules, ranks, block)`` through ``learn_order`` and a
+    counting oracle of its own."""
+    oracle = CountingOracle(GroundTruthOrder._built(ranks))
+    learned = learn_order(rules, oracle, STRATEGY_BLOCK if block else STRATEGY_BINARY)
+    return learned, oracle.query_count
 
 
 def run_trial(
@@ -132,12 +176,14 @@ def exhaustive_worst_case(
     each rule's landing position among the rules already placed is uniform
     whatever the presentation (the inversion table, TAOCP vol. 3, 5.1.1).
 
-    The search runs every instance on one identity oracle, its count reset
-    before each run.  Relabelling each rule i as its rank turns ground truth
-    ``ranks`` under presentation 0..n-1 into the identity order under
-    presentation ``ranks``: every query (i, j) becomes (ranks[i], ranks[j])
-    with the same answer, so each run asks as many queries as the original
-    instance.
+    The search runs every instance against the identity order, with no
+    oracle: ``_learn_ranks(ranks, identity, block)`` on each permutation,
+    which is a permutation by construction, so it is not copied or checked;
+    the strategy is checked once, up front.  Relabelling each rule i as its
+    rank turns ground truth ``ranks`` under presentation 0..n-1 into the
+    identity order under presentation ``ranks``: every query (i, j) becomes
+    (ranks[i], ranks[j]) with the same answer, so each run asks as many
+    queries as the original instance.
     """
     _require_int(n, 1)
     if n > EXHAUSTIVE_CAP_FIXED:
@@ -145,14 +191,15 @@ def exhaustive_worst_case(
             f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {_show(n)}"
         )
 
-    oracle = CountingOracle(GroundTruthOrder.identity(n))
+    block = _position_finder(strategy) is _block_position  # ValueError if unknown
+    learn = _learner()
+    identity = tuple(range(n))
     best = -1
     best_ranks: tuple[int, ...] = ()
-    for ranks in itertools.permutations(range(n)):
-        oracle.query_count = 0
-        learn_order(ranks, oracle, strategy)
-        if oracle.query_count > best:
-            best = oracle.query_count
+    for ranks in itertools.permutations(identity):
+        queries = learn(ranks, identity, block)[1]
+        if queries > best:
+            best = queries
             best_ranks = ranks
     return WorstCaseReport(
         strategy=strategy,
@@ -161,7 +208,7 @@ def exhaustive_worst_case(
         cost_model=model.value,
         max_steps=model.steps(best, n),
         ground_truth_ranks=best_ranks,
-        presentation=tuple(range(n)),
+        presentation=identity,
     )
 
 
@@ -219,25 +266,33 @@ def random_trials(
 
     The same seed always yields the same summary; ground truths (and, when
     requested, presentation orders) are drawn from one deterministic stream.
-    The summary counts the oracle's queries, which no cost model changes.
+    The summary counts the queries, which no cost model changes.
     ``shuffle_presentation`` is keyword-only: a stray fifth positional
     argument fails instead of turning shuffling on.
+
+    Each trial is learned by ``_learn_ranks(presentation, ranks, block)``,
+    with no oracle: both are permutations built here, so neither is copied
+    or checked, and the strategy is checked once, up front.
     """
     _require_int(n, 1)
     _require_int(trials, 1, "trials")
+    block = _position_finder(strategy) is _block_position  # ValueError if unknown
+    learn = _learner()
 
+    # 0..n - 1, built by the factory, which rejects an n too large to build.
+    in_order = list(GroundTruthOrder.identity(n).ranks)
     rng = random.Random(seed)
     counts: list[int] = []
     all_correct = True
     for _ in range(trials):
-        ground_truth = GroundTruthOrder.shuffled(n, rng)
-        presentation = list(range(n))
+        ranks = GroundTruthOrder.shuffled(n, rng).ranks
+        presentation = in_order
         if shuffle_presentation:
+            presentation = in_order.copy()
             _shuffle(presentation, rng)
-        oracle = CountingOracle(ground_truth)
-        learned = learn_order(presentation, oracle, strategy)
-        counts.append(oracle.query_count)
-        all_correct = all_correct and _learned_in_rank_order(learned, ground_truth.ranks)
+        learned, queries = learn(presentation, ranks, block)
+        counts.append(queries)
+        all_correct = all_correct and _learned_in_rank_order(learned, ranks, in_order)
     return TrialSummary(
         strategy=strategy,
         n=n,

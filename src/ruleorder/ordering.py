@@ -401,43 +401,23 @@ def learn_order(
     ``oracle.query_count``, its only count; a ``CostModel`` prices that
     count where a result row is built.
 
+    This is the entry point for rules from outside: it checks the strategy,
+    copies ``universe`` into a list and checks that its rules are distinct
+    ints in [0, n) before it asks anything, so a bad rule is rejected and
+    charged nothing.
+
     When ``oracle._batched()`` is false (``CountingOracle`` says when), each
     rule is placed by the strategy's search over one flat list of the rules
     placed so far, a scan from the front for block and a halving search for
     binary, asking every query.  Placement then moves O(n^2) list entries
     in all.
 
-    Otherwise the oracle is asked nothing, and a universe of k rules is
-    run over the ranks 0..k - 1.  A strict subset of the domain is sorted
-    by rank once, up front, and each rule is ranked among the k: O(k log k)
-    however large the domain.  The queries depend only on the order of the
-    ranks, which this keeps.  The run is charged what the strategy's flat
-    search would have asked to land where the rule belongs among the m
-    rules placed so far.  A rule ranked above every placed rank lands at
-    p = m: it is appended to ``backs`` and charged m for block (a full
-    scan) and floor(log2(m + 1)) for binary (the rightmost leaf of the
-    halving search, its shallowest).  A rule ranked below them all lands at
-    p = 0: its negated rank is appended to ``fronts`` and it is charged 1
-    for block and ceil(log2(m + 1)) for binary (the leftmost leaf, its
-    deepest; TAOCP vol. 3, 5.3.1).  Both lists stay ascending, and the
-    first rule, the first back, costs 0.  Only a rule that lands strictly
-    between the ends is searched for and indexed: ``buckets[b]`` holds the
-    middle ranks in [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a
-    bucket never grows past ``_CHUNK`` ranks, and ``below`` is a Fenwick
-    tree over bucket lengths.  A bucket's list is made when its first
-    middle rank lands, which keeps the fixed cost of a small run down.  p
-    is a C-level bisection of the rule's own bucket, plus the middle ranks
-    in lower buckets (one O(log(k / ``_CHUNK``)) walk of ``below``), plus
-    the end ranks below it, which one bisection counts: every front is
-    below the first rule's rank and every back at or above it.  p must lie
-    in (0, m) or ``InvariantError`` is raised, and the run is charged
-    p + 1 queries for block and the probe count of the halving search for
-    binary.  An end landing costs one append; placing a middle rule moves
-    at most ``_CHUNK`` ranks and updates O(log(k / ``_CHUNK``)) tree
-    entries, so a run costs O(k * (``_CHUNK`` + log k)) time whatever its
-    query count.  The learned sequence is built by slot = rank: as each
-    rule lands it is stored in the slot of a list of k that its rank
-    names, with no closing sort.
+    Otherwise the oracle is asked nothing.  A universe of k rules is run
+    over the ranks 0..k - 1 by ``_learn_ranks``: a strict subset of the
+    domain is first sorted by rank once and each rule ranked among the k,
+    O(k log k) however large the domain.  The queries depend only on the
+    order of the ranks, which this keeps.  ``_learn_ranks`` returns the
+    learned sequence and the count, which is added to ``query_count``.
 
     Either way the learned sequence, the query count and any transcript
     are those of the flat search.
@@ -455,10 +435,55 @@ def learn_order(
 
     ranks = oracle.order.ranks
     if len(rules) < len(ranks):
-        # Rank a strict subset among itself, so the run below is always
-        # over ranks 0..len(rules) - 1.
+        # Rank a strict subset among itself, so the core runs over ranks
+        # 0..len(rules) - 1.
         ranks = {x: i for i, x in enumerate(sorted(rules, key=ranks.__getitem__))}
-    block = strategy == STRATEGY_BLOCK
+    learned, queries = _learn_ranks(rules, ranks, strategy == STRATEGY_BLOCK)
+    oracle.query_count += queries
+    return learned
+
+
+def _learn_ranks(
+    rules: Sequence[RuleId], ranks, block: bool
+) -> tuple[list[RuleId], int]:
+    """The batched learner: ``(learned, queries)`` for ``rules`` presented in
+    this order, block's scan if ``block`` is true and binary's halving
+    search if not, asking no oracle.
+
+    The caller guarantees the contract, which is not checked: ``rules`` is
+    not empty, and ``ranks[x]`` (a sequence or a mapping) maps the rules
+    one to one onto 0..len(rules) - 1.  ``learn_order`` checks rules from
+    outside before it calls this; the harness drivers call it directly on
+    permutations they built themselves, with no copy and no rule check.
+
+    Each rule is charged what the strategy's flat search would have asked
+    to land where the rule belongs among the m rules placed so far.  A rule
+    ranked above every placed rank lands at p = m: it is appended to
+    ``backs`` and charged m for block (a full scan) and floor(log2(m + 1))
+    for binary (the rightmost leaf of the halving search, its shallowest).
+    A rule ranked below them all lands at p = 0: its negated rank is
+    appended to ``fronts`` and it is charged 1 for block and
+    ceil(log2(m + 1)) for binary (the leftmost leaf, its deepest; TAOCP
+    vol. 3, 5.3.1).  Both lists stay ascending, and the first rule, the
+    first back, costs 0.  Only a rule that lands strictly between the ends
+    is searched for and indexed: ``buckets[b]`` holds the middle ranks in
+    [b * ``_CHUNK``, (b + 1) * ``_CHUNK``), sorted, so a bucket never grows
+    past ``_CHUNK`` ranks, and ``below`` is a Fenwick tree over bucket
+    lengths.  A bucket's list is made when its first middle rank lands,
+    which keeps the fixed cost of a small run down.  p is a C-level
+    bisection of the rule's own bucket, plus the middle ranks in lower
+    buckets (one O(log(k / ``_CHUNK``)) walk of ``below``), plus the end
+    ranks below it, which one bisection counts: every front is below the
+    first rule's rank and every back at or above it.  p must lie in
+    (0, m) or ``InvariantError`` is raised, and the run is charged p + 1
+    queries for block and the probe count of the halving search for
+    binary.  An end landing costs one append; placing a middle rule moves
+    at most ``_CHUNK`` ranks and updates O(log(k / ``_CHUNK``)) tree
+    entries, so a run costs O(k * (``_CHUNK`` + log k)) time whatever its
+    query count.  The learned sequence is built by slot = rank: as each
+    rule lands it is stored in the slot of a list of k that its rank
+    names, with no closing sort.
+    """
     width = _CHUNK
     size = (len(rules) - 1) // width + 1
     # A bucket's list is made when its first middle rank lands.  Making
@@ -533,5 +558,4 @@ def learn_order(
             while i < size:  # buckets[b] grew by one
                 below[i] += 1
                 i += i & -i
-    oracle.query_count += queries
-    return learned
+    return learned, queries

@@ -350,6 +350,41 @@ class TestSizesTooLargeToBuild:
     def test_short_error(self, capsys, argv):
         assert run_cli(capsys, *argv, "--n", self.N) == (1, "", self.TOO_LARGE)
 
+    OUT_OF_MEMORY = "error: out of memory; try a smaller --n\n"
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("_cmd_learn", ("learn", "--strategy", "binary", "--seed", "1")),
+            ("_cmd_worst_case", ("worst-case", "--strategy", "block", "--mode", "adversarial")),
+            ("_cmd_predict", ("predict",)),
+        ],
+        ids=["learn", "worst-case", "predict"],
+    )
+    def test_out_of_memory_is_one_short_error(self, capsys, monkeypatch, command, argv):
+        # main's backstop: no command may leak a MemoryError traceback.
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, command, exhausted)
+        assert run_cli(capsys, *argv, "--n", "1000") == (1, "", self.OUT_OF_MEMORY)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux has it")
+    def test_out_of_memory_in_a_child_with_little_address_space(self):
+        # 10**9 rules fit no 1 GB address space; the limit is the child's own.
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "ruleorder", "learn", "--seed", "1", "--n", str(10**9),
+             "--strategy", "binary"],
+            capture_output=True, preexec_fn=limit, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode() == self.OUT_OF_MEMORY
+
     @pytest.mark.parametrize(
         "n, shown", [(N, "an int of 67 bits"), ("9" * 4000, "an int of 13288 bits")],
         ids=["10**20", "4000-digits"],

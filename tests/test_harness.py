@@ -25,6 +25,7 @@ from ruleorder import (
     learn_order,
     run_trial,
 )
+from ruleorder.ordering import _learn_ranks
 
 PLACEMENT = CostModel.COMPARISONS_PLUS_PLACEMENT
 
@@ -138,15 +139,41 @@ class TestExhaustiveWorstCase:
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_learn_order_call_per_ground_truth(self, n, strategy, monkeypatch):
-        calls = []
+        # One learn per ground truth: a call of the core on each permutation,
+        # against the identity ranks; or, while learn_order is wrapped, one
+        # call of the wrapper, with the same report.
+        core_calls, calls = [], []
+
+        def counting_core(*args):
+            core_calls.append(args)
+            return _learn_ranks(*args)
 
         def counting(*args):
             calls.append(args)
             return learn_order(*args)
 
+        monkeypatch.setattr(harness, "_learn_ranks", counting_core)
+        report = exhaustive_worst_case(n, strategy)
+        identity = tuple(range(n))
+        assert [rules for rules, _, _ in core_calls] == list(itertools.permutations(identity))
+        assert {(ranks, block) for _, ranks, block in core_calls} == {
+            (identity, strategy == "block")
+        }
         monkeypatch.setattr(harness, "learn_order", counting)
-        exhaustive_worst_case(n, strategy)
+        assert exhaustive_worst_case(n, strategy) == report
         assert len(calls) == math.factorial(n)
+        assert len(core_calls) == math.factorial(n)
+
+    @pytest.mark.parametrize(
+        "strategy, ground_truth",
+        [("block", (0, 1, 2, 3, 4, 5, 6, 7)), ("binary", (0, 3, 2, 6, 1, 4, 5, 7))],
+    )
+    def test_n8_first_maxima_are_the_ci_rows(self, strategy, ground_truth):
+        # The rows CI's exhaustive n = 8 smoke run requires, field for field.
+        report = exhaustive_worst_case(8, strategy)
+        assert report.max_steps == {"block": 28, "binary": 17}[strategy]
+        assert report.ground_truth_ranks == ground_truth
+        assert report.presentation == tuple(range(8))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_block_comparisons_max(self, n):
@@ -236,6 +263,27 @@ class TestAdversarialGroundTruth:
             "unknown strategy 'bogus' (choose from: block, binary)"
         )
 
+    @pytest.mark.parametrize("strategy", ["bogus", "Block", "", None, "x" * 10**6])
+    def test_drivers_reject_an_unknown_strategy_before_any_run(self, strategy, monkeypatch):
+        # The drivers pass the core a flag, not the name, so the name must be
+        # checked up front: "bogus" must not run as binary.
+        def no_run(*args):
+            raise AssertionError("learned with an unknown strategy")
+
+        monkeypatch.setattr(harness, "_learn_ranks", no_run)
+        monkeypatch.setattr(harness, "learn_order", no_run)
+        monkeypatch.setattr(harness.GroundTruthOrder, "shuffled", no_run)
+        with pytest.raises(ValueError) as ordering_error:
+            learn_order([0], CountingOracle(GroundTruthOrder.identity(1)), strategy)
+        for driver in (
+            lambda: exhaustive_worst_case(8, strategy),
+            lambda: random_trials(27, strategy, 100, seed=1),
+            lambda: random_trials(27, strategy, 100, seed=1, shuffle_presentation=True),
+        ):
+            with pytest.raises(ValueError) as driver_error:
+                driver()
+            assert str(driver_error.value) == str(ordering_error.value)
+
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     def test_wrong_learned_order_raises(self, monkeypatch, strategy):
         # The learned order with its first two rules swapped, its last rule
@@ -245,15 +293,27 @@ class TestAdversarialGroundTruth:
             lambda seq: seq[:-1],
             lambda seq: [*seq[:-1], seq[0]],
         )
+        # random_trials learns through the core, run_trial and
+        # adversarial_worst_case through learn_order; a wrong learner on
+        # either path is caught.
         for wrong in wrongs:
+            def wrong_core(rules, ranks, block, wrong=wrong):
+                learned, queries = _learn_ranks(rules, ranks, block)
+                return wrong(learned), queries
+
             def wrong_learner(rules, oracle, strategy, wrong=wrong):
                 return wrong(learn_order(rules, oracle, strategy))
 
-            monkeypatch.setattr(harness, "learn_order", wrong_learner)
-            with pytest.raises(IncorrectOrderError):
-                adversarial_worst_case(4, strategy)
-            assert run_trial(4, strategy, GroundTruthOrder((2, 0, 3, 1))).correct is False
-            assert random_trials(4, strategy, 3, seed=1).all_correct is False
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_learn_ranks", wrong_core)
+                assert random_trials(4, strategy, 3, seed=1).all_correct is False
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "learn_order", wrong_learner)
+                with pytest.raises(IncorrectOrderError):
+                    adversarial_worst_case(4, strategy)
+                assert run_trial(4, strategy, GroundTruthOrder((2, 0, 3, 1))).correct is False
+                # A replaced learn_order also takes random_trials off the core.
+                assert random_trials(4, strategy, 3, seed=1).all_correct is False
 
     def test_rejects_zero(self):
         for n in (0, 2.5):

@@ -687,6 +687,54 @@ class TestChunkedSequence:
 
 
 # ----------------------------------------------------------------------
+# The unchecked core.  _learn_ranks is learn_order's batched loop, which the
+# harness drivers call directly; it must give what learn_order gives on
+# either route, learned list and count alike.
+# ----------------------------------------------------------------------
+
+def assert_core_matches_routes(order, universe, strategy):
+    ranks = order.ranks
+    if len(universe) < order.n:
+        ranks = {x: i for i, x in enumerate(sorted(universe, key=ranks.__getitem__))}
+    learned, queries = ordering._learn_ranks(tuple(universe), ranks, strategy == "block")
+    for record in (False, True):  # the batched route, then the per-query one
+        oracle = CountingOracle(order, record=record)
+        assert learn_order(universe, oracle, strategy) == learned
+        assert oracle.query_count == queries
+        assert len(oracle.transcript) == (queries if record else 0)
+
+
+class TestLearnRanksCore:
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_presentation_matches_both_routes(self, n, strategy):
+        truths = (GroundTruthOrder.identity(n), GroundTruthOrder.shuffled(n, random.Random(n)))
+        for order in truths:
+            for presentation in itertools.permutations(range(n)):
+                assert_core_matches_routes(order, list(presentation), strategy)
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_random_strict_subsets_match_both_routes(self, strategy):
+        rng = random.Random(21)
+        for _ in range(300):
+            n = rng.randint(2, 80)
+            order = GroundTruthOrder.shuffled(n, rng)
+            universe = rng.sample(range(n), rng.randint(1, n - 1))
+            assert_core_matches_routes(order, universe, strategy)
+
+    def test_takes_the_callers_rules_as_given(self):
+        # No copy and no check: the core reads the tuple it is given and
+        # leaves it, and it does not look at what the rules are.
+        rules = (2, 0, 1)
+        oracle = oracle_for((2, 0, 1))
+        expected = learn_order(rules, oracle, "binary")
+        assert ordering._learn_ranks(rules, (2, 0, 1), False) == (expected, oracle.query_count)
+        assert rules == (2, 0, 1)
+        names = {"c": 1, "a": 2, "b": 0}
+        assert ordering._learn_ranks(("c", "a", "b"), names, True) == (["b", "c", "a"], 2)
+
+
+# ----------------------------------------------------------------------
 # Slot placement.  true_sequence() and the batched learn_order put each rule
 # in the slot its rank names instead of sorting by rank; the comparison sort
 # in tests/oracles.py is the independent reference for both.
