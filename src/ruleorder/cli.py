@@ -225,11 +225,12 @@ def _cmd_learn(args) -> int:
 
     n = _positive_n(args)
     model = CostModel(args.cost_model)
-    # None presents 0..n-1, built by run_trial after the ground truth,
-    # whose factory rejects an n too large to build with a short error.
-    presentation = None
+    # Every instance is presented as 0..n-1 (so are both adversarial ones):
+    # None has run_trial build it after the ground truth, whose factory
+    # rejects an n too large to build with a short error, and learn it
+    # through the core with no rule check.
     if args.adversarial:
-        ground_truth, presentation = harness.adversarial_ground_truth(n, args.strategy)
+        ground_truth = harness._adversarial_order(n, args.strategy)
         source = "adversarial"
     elif args.seed is not None:
         import random
@@ -240,7 +241,7 @@ def _cmd_learn(args) -> int:
         ground_truth = _load_permutation(args.permutation, n)
         source = "permutation"
 
-    result = harness.run_trial(n, args.strategy, ground_truth, presentation, model, source)
+    result = harness.run_trial(n, args.strategy, ground_truth, None, model, source)
     _emit([result._asdict()], args.format)
     if not result.correct:
         raise IncorrectOrderError("learned order does not match the ground truth")
@@ -248,8 +249,6 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_worst_case(args) -> int:
-    from dataclasses import asdict
-
     from . import harness
 
     n = _positive_n(args)
@@ -258,11 +257,13 @@ def _cmd_worst_case(args) -> int:
         report = harness.exhaustive_worst_case(n, args.strategy, model)
     else:
         report = harness.adversarial_worst_case(n, args.strategy, model)
-    # The report's fields, with ground_truth_ranks and presentation as
-    # dashed strings under the names ground_truth and presentation.
+    # The report's fields in order, with ground_truth_ranks and presentation
+    # as dashed strings under the names ground_truth and presentation.
+    # vars() reads the fields as they are; dataclasses.asdict would deep-copy
+    # both n-tuples, element by element.
     row = {
         key.removesuffix("_ranks"): "-".join(map(str, value)) if type(value) is tuple else value
-        for key, value in asdict(report).items()
+        for key, value in vars(report).items()
     }
     _emit([row], args.format)
     return EXIT_OK

@@ -2,16 +2,19 @@
 
 Instances come in three flavours: exhaustive (every permutation, small n),
 adversarial (constructions that attain the worst-case formulas), and random
-(seeded unbiased shuffles).  ``run_trial``, and with it
-``adversarial_worst_case``, learns through ``learn_order`` and a counting
-oracle of its own, so its rules get ``learn_order``'s full check.
-``exhaustive_worst_case`` and ``random_trials`` build every presentation
-and ground truth themselves as permutations, so they call the unchecked
-core ``ordering._learn_ranks`` directly: no oracle, no copy and no rule
-check per run, only one strategy check per call.  While a wrapper replaces
-``learn_order`` here or ``CountingOracle.precedes``, they learn through
-``learn_order`` instead, so it sees every run (``_learner``).  Calls share
-nothing and can be executed in any order.
+(seeded unbiased shuffles).  Every presentation and ground truth that the
+drivers build themselves is a permutation by construction, so the drivers
+call the unchecked core ``ordering._learn_ranks`` directly: no oracle, no
+copy and no rule check per run, only one strategy check per call.  That
+holds for ``exhaustive_worst_case``, ``random_trials``,
+``adversarial_worst_case`` and ``run_trial`` with no presentation (it
+presents 0..n-1).  A presentation from the caller goes through
+``learn_order`` and a counting oracle of ``run_trial``'s own, so its rules
+get ``learn_order``'s full check.  While a wrapper replaces ``learn_order``
+here or ``CountingOracle.precedes``, the drivers learn through
+``learn_order`` instead, so it sees every run (``_learner``).  Every route
+checks the learned list against the ground truth.  Calls share nothing and
+can be executed in any order.
 """
 
 from __future__ import annotations
@@ -100,10 +103,10 @@ def _learned_in_rank_order(
 ) -> bool:
     """True iff ``learned`` lists every rule once, by rank: ``learned[i]``
     has rank i.  One O(n) pass, not a second sort by rank.  ``in_order`` is
-    ``list(range(len(ranks)))``, made here unless a caller that checks many
-    runs passes its own.  ``learned`` comes from ``learn_order`` or
-    ``_learn_ranks``, whose rules are checked or built by the caller, so
-    each one indexes ``ranks`` as itself."""
+    ``list(range(len(ranks)))``, made here unless the caller already holds
+    one: a presentation 0..n-1, or a list shared by many runs.  ``learned``
+    comes from ``learn_order`` or ``_learn_ranks``, whose rules are checked
+    or built by the caller, so each one indexes ``ranks`` as itself."""
     if in_order is None:
         in_order = list(range(len(ranks)))
     return [ranks[x] for x in learned] == in_order
@@ -138,25 +141,45 @@ def run_trial(
     model: CostModel = CostModel.COMPARISONS_ONLY,
     source: str = "explicit",
 ) -> TrialResult:
-    """Run one learner against a fresh oracle and report its counts."""
+    """Run one learner on ``ground_truth`` and report its counts.
+
+    With no ``presentation_order`` the rules are presented as 0..n-1, a
+    permutation built here, so they are learned by the core
+    (``_learner``) with no oracle, no copy and no rule check; the strategy
+    is checked up front with ``learn_order``'s message.  A caller's
+    presentation is copied, its length checked, and learned by
+    ``learn_order`` against a fresh counting oracle, which checks its
+    rules.  Either way the learned list is checked against the ground
+    truth (``correct``).
+    """
     _require_int(n, 1)
     if ground_truth.n != n:
         raise InvalidPermutationError(
             f"ground truth has {ground_truth.n} rules, expected {_show(n)}"
         )
-    # learn_order checks the rules, and n distinct rules are a permutation.
-    presentation = tuple(range(n) if presentation_order is None else presentation_order)
-    if len(presentation) != n:
-        raise InvalidPermutationError(f"presentation has {len(presentation)} rules, not {n}")
-
-    oracle = CountingOracle(ground_truth)
-    learned = learn_order(presentation, oracle, strategy)
+    ranks = ground_truth.ranks
+    if presentation_order is None:
+        block = _position_finder(strategy) is _block_position  # ValueError if unknown
+        # 0..n - 1 in order is both the presentation and what the learned
+        # rules' ranks must read.
+        in_order = list(range(n))
+        learned, queries = _learner()(in_order, ranks, block)
+        correct = _learned_in_rank_order(learned, ranks, in_order)
+    else:
+        # learn_order checks the rules, and n distinct rules are a permutation.
+        presentation = tuple(presentation_order)
+        if len(presentation) != n:
+            raise InvalidPermutationError(f"presentation has {len(presentation)} rules, not {n}")
+        oracle = CountingOracle(ground_truth)
+        learned = learn_order(presentation, oracle, strategy)
+        queries = oracle.query_count
+        correct = _learned_in_rank_order(learned, ranks)
     return TrialResult(
         strategy=strategy,
         n=n,
-        queries=oracle.query_count,
-        steps=model.steps(oracle.query_count, n),
-        correct=_learned_in_rank_order(learned, ground_truth.ranks),
+        queries=queries,
+        steps=model.steps(queries, n),
+        correct=correct,
         cost_model=model.value,
         source=source,
     )
@@ -225,21 +248,41 @@ def adversarial_ground_truth(
     of the search tree for every window size (each halving keeps the larger,
     left half), so each insertion into m rules costs ceil(log2(m + 1)).
     """
+    ground_truth = _adversarial_order(n, strategy)
+    # The presentation 0..n-1 is read off the order's ranks, so it shares
+    # their int objects instead of making n new ones.
+    ranks = ground_truth.ranks
+    return ground_truth, list(ranks if strategy == STRATEGY_BLOCK else reversed(ranks))
+
+
+def _adversarial_order(n: int, strategy: str) -> GroundTruthOrder:
+    """``adversarial_ground_truth``'s order alone, for a caller that
+    presents 0..n-1 itself: no presentation list is made."""
     _require_int(n, 1)
     _position_finder(strategy)  # raises ValueError for an unknown strategy
-    # The order is built first: its factory rejects an n too large to build.
+    # The factories reject an n too large to build.
     if strategy == STRATEGY_BLOCK:
-        return GroundTruthOrder.identity(n), list(range(n))
-    return GroundTruthOrder.reversed_identity(n), list(range(n))
+        return GroundTruthOrder.identity(n)
+    return GroundTruthOrder.reversed_identity(n)
 
 
 def adversarial_worst_case(
     n: int, strategy: str, model: CostModel = CostModel.COMPARISONS_ONLY
 ) -> WorstCaseReport:
-    """Measure the adversarial instance instead of enumerating."""
+    """Measure the adversarial instance instead of enumerating.
+
+    ``adversarial_ground_truth`` builds the instance, a permutation by
+    construction, and checks the strategy, so it is learned by the core
+    (``_learner``) with no oracle, no copy and no rule check.  The learned
+    list is still checked against the ground truth: a wrong one raises
+    ``IncorrectOrderError``.
+    """
     ground_truth, presentation = adversarial_ground_truth(n, strategy)
-    result = run_trial(n, strategy, ground_truth, presentation, model, source=MODE_ADVERSARIAL)
-    if not result.correct:
+    ranks = ground_truth.ranks
+    learned, queries = _learner()(presentation, ranks, strategy == STRATEGY_BLOCK)
+    # Both presentations are 0..n - 1 in order, what the learned rules'
+    # ranks must read.
+    if not _learned_in_rank_order(learned, ranks, presentation):
         raise IncorrectOrderError(
             f"{strategy} learned a wrong order on the adversarial instance at n = {n}"
         )
@@ -248,8 +291,8 @@ def adversarial_worst_case(
         n=n,
         mode=MODE_ADVERSARIAL,
         cost_model=model.value,
-        max_steps=result.steps,
-        ground_truth_ranks=ground_truth.ranks,
+        max_steps=model.steps(queries, n),
+        ground_truth_ranks=ranks,
         presentation=tuple(presentation),
     )
 

@@ -321,6 +321,19 @@ class TestLearn:
             capsys, "learn", "--n", "12", "--strategy", "block", "--seed", "3",
         )
 
+    @pytest.mark.parametrize(
+        "instance", [("--adversarial",), ("--seed", "1"), ("--permutation", "2,0,1")]
+    )
+    def test_wrong_core_prints_row_then_exits_2(self, capsys, monkeypatch, instance):
+        # Every learn mode presents 0..n-1 and learns through the core.
+        monkeypatch.setattr(harness, "_learn_ranks", lambda rules, ranks, block: ([0] * 3, 3))
+        code, out, err = run_cli(
+            capsys, "learn", "--n", "3", "--strategy", "block", *instance, "--format", "json",
+        )
+        assert code == 2
+        assert json.loads(out)["correct"] is False
+        assert err == "error: learned order does not match the ground truth\n"
+
     def test_wrong_learned_order_prints_row_then_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(harness, "learn_order", lambda rules, *args: list(rules))
         code, out, err = run_cli(
@@ -454,6 +467,18 @@ class TestWorstCase:
         )
         assert code == 2
         assert "wrong order" in err
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_wrong_core_on_the_adversarial_instance_is_invariant_violation(
+        self, capsys, monkeypatch, strategy
+    ):
+        # Unwatched, the adversarial run learns through the core.
+        monkeypatch.setattr(harness, "_learn_ranks", lambda rules, ranks, block: ([0] * 3, 3))
+        code, _, err = run_cli(
+            capsys, "worst-case", "--n", "3", "--strategy", strategy, "--mode", "adversarial",
+        )
+        assert code == 2
+        assert err == f"error: {strategy} learned a wrong order on the adversarial instance at n = 3\n"
 
 
 class TestTable:

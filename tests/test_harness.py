@@ -9,9 +9,11 @@ from oracles import true_sequence_by_sort
 from ruleorder import (
     CostModel,
     CountingOracle,
+    DuplicateRuleError,
     GroundTruthOrder,
     IncorrectOrderError,
     InvalidPermutationError,
+    InvalidRuleError,
     SizeLimitError,
     adversarial_ground_truth,
     adversarial_worst_case,
@@ -101,6 +103,118 @@ class TestRunTrial:
         assert list(result._asdict().values()) == list(result)
         with pytest.raises(AttributeError):
             result.queries = 0
+
+
+class TestPackageBuiltRoutes:
+    # adversarial_worst_case and run_trial with no presentation learn an
+    # instance the package built, so they call the core once per run, and
+    # learn_order not at all, unless a wrapper is installed.
+    ROUTES = {
+        "adversarial_worst_case": lambda n, s: adversarial_worst_case(n, s, PLACEMENT),
+        "run_trial": lambda n, s: run_trial(n, s, GroundTruthOrder(
+            [(7 * i + 3) % n for i in range(n)] if n % 7 else range(n)), model=PLACEMENT),
+    }
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count the calls of harness._learn_ranks and learn_order, leaving
+        learn_order unwatched: _learner compares it with _LEARN_ORDER."""
+        core_calls, learn_calls = [], []
+
+        def counting_core(*args):
+            core_calls.append(args)
+            return _learn_ranks(*args)
+
+        def counting_learn(*args):
+            learn_calls.append(args)
+            return learn_order(*args)
+
+        monkeypatch.setattr(harness, "_learn_ranks", counting_core)
+        monkeypatch.setattr(harness, "learn_order", counting_learn)
+        monkeypatch.setattr(harness, "_LEARN_ORDER", counting_learn)
+        return core_calls, learn_calls
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("n", [1, 2, 9, 100])
+    def test_one_core_call_and_no_learn_order(self, route, strategy, n, monkeypatch):
+        expected = self.ROUTES[route](n, strategy)
+        core_calls, learn_calls = self.counting(monkeypatch)
+        assert self.ROUTES[route](n, strategy) == expected
+        assert learn_calls == []
+        ((rules, ranks, block),) = core_calls
+        assert (rules, block) == (list(range(n)), strategy == "block")
+        assert type(ranks) is tuple and sorted(ranks) == list(range(n))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("n", [1, 2, 9, 100])
+    def test_a_wrapper_sees_one_learn_order_call_and_every_query(
+        self, route, strategy, n, monkeypatch
+    ):
+        # The benchmark's tracer wraps harness.learn_order and
+        # CountingOracle.precedes; either wrapper takes the run off the core
+        # and onto learn_order, with the same result.
+        expected = self.ROUTES[route](n, strategy)
+        queries = expected.max_steps if route == "adversarial_worst_case" else expected.steps
+        queries -= n - 1  # the placement steps
+        core_calls, learn_calls = self.counting(monkeypatch)
+        monkeypatch.setattr(harness, "_LEARN_ORDER", learn_order)  # learn_order wrapped
+        assert self.ROUTES[route](n, strategy) == expected
+        assert (len(core_calls), len(learn_calls)) == (0, 1)
+
+        asked = []
+        stock = CountingOracle.precedes
+
+        def precedes(oracle, a, b):
+            asked.append((a, b))
+            return stock(oracle, a, b)
+
+        monkeypatch.setattr(harness, "_LEARN_ORDER", harness.learn_order)  # name unwatched
+        monkeypatch.setattr(CountingOracle, "precedes", precedes)
+        assert self.ROUTES[route](n, strategy) == expected
+        assert (len(core_calls), len(learn_calls)) == (0, 2)
+        assert len(asked) == queries
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_routes_agree_with_learn_order_on_every_small_instance(self, strategy):
+        for n in range(1, 6):
+            for ranks in itertools.permutations(range(n)):
+                truth = GroundTruthOrder(ranks)
+                assert run_trial(n, strategy, truth) == run_trial(
+                    n, strategy, truth, list(range(n))
+                )
+
+    @pytest.mark.parametrize(
+        "presentation, error, message",
+        [
+            ([0, True, 2], InvalidRuleError, "rules and ranks are ints in [0, 3), not True"),
+            ([0, 1, 2.0], InvalidRuleError, "rules and ranks are ints in [0, 3), not 2.0"),
+            ([0, 1, 1], DuplicateRuleError, "1 repeats; a permutation of 0..2 has it once"),
+            ([0, 1, 3], InvalidRuleError, "rules and ranks are ints in [0, 3), not 3"),
+            ([0, -1, 2], InvalidRuleError, "rules and ranks are ints in [0, 3), not -1"),
+            ([0, 1], InvalidPermutationError, "presentation has 2 rules, not 3"),
+        ],
+    )
+    def test_a_callers_presentation_keeps_the_full_check(
+        self, presentation, error, message, monkeypatch
+    ):
+        core_calls, _ = self.counting(monkeypatch)
+        with pytest.raises(error) as raised:
+            run_trial(3, "block", GroundTruthOrder.identity(3), presentation)
+        assert str(raised.value) == message
+        assert core_calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 257, 1000])
+    def test_adversarial_presentations_share_the_ranks_ints(self, n):
+        # Ints above 256 are separate objects unless they are shared.
+        for strategy, reorder in (("block", list), ("binary", lambda r: r[::-1])):
+            truth, presentation = adversarial_ground_truth(n, strategy)
+            assert type(truth) is GroundTruthOrder and type(presentation) is list
+            assert presentation == list(range(n))
+            assert all(p is r for p, r in zip(presentation, reorder(truth.ranks)))
+            # learn --adversarial takes the order alone, with no presentation.
+            assert harness._adversarial_order(n, strategy) == truth
 
 
 class TestLearnedInRankOrder:
@@ -279,6 +393,8 @@ class TestAdversarialGroundTruth:
             lambda: exhaustive_worst_case(8, strategy),
             lambda: random_trials(27, strategy, 100, seed=1),
             lambda: random_trials(27, strategy, 100, seed=1, shuffle_presentation=True),
+            lambda: adversarial_worst_case(8, strategy),
+            lambda: run_trial(8, strategy, GroundTruthOrder.identity(8)),
         ):
             with pytest.raises(ValueError) as driver_error:
                 driver()
@@ -293,9 +409,11 @@ class TestAdversarialGroundTruth:
             lambda seq: seq[:-1],
             lambda seq: [*seq[:-1], seq[0]],
         )
-        # random_trials learns through the core, run_trial and
-        # adversarial_worst_case through learn_order; a wrong learner on
-        # either path is caught.
+        # random_trials, adversarial_worst_case and run_trial with no
+        # presentation learn through the core, run_trial with the caller's
+        # presentation through learn_order; a wrong learner on either path
+        # is caught.
+        truth = GroundTruthOrder((2, 0, 3, 1))
         for wrong in wrongs:
             def wrong_core(rules, ranks, block, wrong=wrong):
                 learned, queries = _learn_ranks(rules, ranks, block)
@@ -307,12 +425,17 @@ class TestAdversarialGroundTruth:
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_learn_ranks", wrong_core)
                 assert random_trials(4, strategy, 3, seed=1).all_correct is False
-            with monkeypatch.context() as patch:
-                patch.setattr(harness, "learn_order", wrong_learner)
                 with pytest.raises(IncorrectOrderError):
                     adversarial_worst_case(4, strategy)
-                assert run_trial(4, strategy, GroundTruthOrder((2, 0, 3, 1))).correct is False
-                # A replaced learn_order also takes random_trials off the core.
+                assert run_trial(4, strategy, truth).correct is False
+                assert run_trial(4, strategy, truth, [0, 1, 2, 3]).correct is True
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "learn_order", wrong_learner)
+                assert run_trial(4, strategy, truth, [3, 1, 0, 2]).correct is False
+                # A replaced learn_order also takes the other drivers off the core.
+                with pytest.raises(IncorrectOrderError):
+                    adversarial_worst_case(4, strategy)
+                assert run_trial(4, strategy, truth).correct is False
                 assert random_trials(4, strategy, 3, seed=1).all_correct is False
 
     def test_rejects_zero(self):

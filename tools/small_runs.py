@@ -1,4 +1,4 @@
-"""Per-layer timing of small runs: each layer of a harness-small-n call on its own.
+"""Per-layer timing of harness runs: each layer of a driver call on its own.
 
 The ``harness-small-n`` benchmark workload makes thousands of tiny runs, so
 fixed costs per run decide its time.  This prints the best-of-rounds time
@@ -14,6 +14,14 @@ strategies:
 then each driver call the workload times: ``exhaustive_worst_case(6, s)``
 and ``random_trials(27, s, 100, seed, shuffle_presentation=True)``.  The
 presentation and the ground truth of the layer rows are fixed shuffles.
+
+Last come the ``block-adversarial`` workload's call,
+``adversarial_worst_case(500, "block")``, and its layers on the block
+adversarial instance: ``adversarial_ground_truth``, ``_require_rules`` (the
+check ``learn_order`` runs on a caller's rules, and the driver does not),
+``_learn_ranks`` and ``_learned_in_rank_order``.  A traced benchmark run
+sends every driver through ``learn_order``, so these untraced rows are the
+per-layer view of that workload.
 
 Run it from anywhere in a checkout (standard library only):
 
@@ -38,6 +46,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 STRATEGIES = ("block", "binary")
 SEED = 1  # fixed inputs: the same shuffles on every run and every tree
+ADVERSARIAL_N = 500  # the size block-adversarial times
 
 
 def per_call_us(call, rounds: int, round_s: float) -> tuple[float, float]:
@@ -91,6 +100,21 @@ def rows(ruleorder):
         out.append((f"random_trials(27, {strategy}, 100)",
                     lambda s=strategy: harness.random_trials(27, s, 100, SEED,
                                                              shuffle_presentation=True)))
+    # The block-adversarial workload's call and the layers it is made of.
+    n = ADVERSARIAL_N
+    truth, presentation = harness.adversarial_ground_truth(n, "block")
+    learned = truth.true_sequence()
+    out += [
+        (f"{'adversarial_ground_truth':<24} n={n} block",
+         lambda: harness.adversarial_ground_truth(n, "block")),
+        (f"{'_require_rules':<24} n={n}", lambda: ordering._require_rules(presentation, n)),
+        (f"{'_learn_ranks':<24} n={n} block",
+         core and (lambda: core(presentation, truth.ranks, True))),
+        (f"{'_learned_in_rank_order':<24} n={n}",
+         lambda: harness._learned_in_rank_order(learned, truth.ranks)),
+        (f"adversarial_worst_case({n}, block)",
+         lambda: harness.adversarial_worst_case(n, "block")),
+    ]
     return out
 
 
