@@ -103,10 +103,12 @@ def _learned_in_rank_order(
 ) -> bool:
     """True iff ``learned`` lists every rule once, by rank: ``learned[i]``
     has rank i.  One O(n) pass, not a second sort by rank.  ``in_order`` is
-    ``list(range(len(ranks)))``, made here unless the caller already holds
-    one: a presentation 0..n-1, or a list shared by many runs.  ``learned``
-    comes from ``learn_order`` or ``_learn_ranks``, whose rules are checked
-    or built by the caller, so each one indexes ``ranks`` as itself."""
+    a list equal to ``list(range(len(ranks)))``, made here unless the
+    caller already holds one: a presentation 0..n-1, which may hold the
+    ranks' own ints (``run_trial``, ``adversarial_worst_case``), or a list
+    shared by many runs.  ``learned`` comes from ``learn_order`` or
+    ``_learn_ranks``, whose rules are checked or built by the caller, so
+    each one indexes ``ranks`` as itself."""
     if in_order is None:
         in_order = list(range(len(ranks)))
     return [ranks[x] for x in learned] == in_order
@@ -146,11 +148,13 @@ def run_trial(
     With no ``presentation_order`` the rules are presented as 0..n-1, a
     permutation built here, so they are learned by the core
     (``_learner``) with no oracle, no copy and no rule check; the strategy
-    is checked up front with ``learn_order``'s message.  A caller's
-    presentation is copied, its length checked, and learned by
-    ``learn_order`` against a fresh counting oracle, which checks its
-    rules.  Either way the learned list is checked against the ground
-    truth (``correct``).
+    is checked up front with ``learn_order``'s message.  That 0..n-1 is
+    read off ``ground_truth.ranks`` in one pass, each rank into the slot it
+    names, so it and the learned list hold the ranks' own int objects and
+    no new int per rule.  A caller's presentation is copied, its length
+    checked, and learned by ``learn_order`` against a fresh counting
+    oracle, which checks its rules.  Either way the learned list is checked
+    against the ground truth (``correct``).
     """
     _require_int(n, 1)
     if ground_truth.n != n:
@@ -161,8 +165,12 @@ def run_trial(
     if presentation_order is None:
         block = _position_finder(strategy) is _block_position  # ValueError if unknown
         # 0..n - 1 in order is both the presentation and what the learned
-        # rules' ranks must read.
-        in_order = list(range(n))
+        # rules' ranks must read.  Each rank is stored in the slot it names,
+        # so the list holds the ranks' own ints, not n new ones; one O(n)
+        # pass, where sorted(ranks) is n log n on a shuffled order.
+        in_order = [0] * n
+        for rank in ranks:
+            in_order[rank] = rank
         learned, queries = _learner()(in_order, ranks, block)
         correct = _learned_in_rank_order(learned, ranks, in_order)
     else:

@@ -143,14 +143,31 @@ def _shuffle(x: list, rng) -> None:
 def _require_rules(rules: Sequence[RuleId], n: int) -> None:
     """Raise unless ``rules`` are distinct ints in [0, n), which n of them
     make a permutation of [0, n): the one check of universes, presentations
-    and ranks.  0.0 and True equal 0 and 1, and only their type tells."""
-    for rule in rules:
-        if type(rule) is not int or not 0 <= rule < n:
-            raise InvalidRuleError(f"rules and ranks are ints in [0, {n}), not {_show(rule)}")
-    if len(set(rules)) != len(rules):
-        seen: set[int] = set()
-        repeat = next(rule for rule in rules if rule in seen or seen.add(rule))
-        raise DuplicateRuleError(f"{repeat} repeats; a permutation of 0..{n - 1} has it once")
+    and ranks.  0.0 and True equal 0 and 1, and only their type tells.
+
+    Every rule is checked for its type and range before any repeat is
+    reported, and a repeat is named by its first repeated occurrence.  When
+    the rules fill the domain (n of them, a permutation if valid), the type
+    and range loop also marks each rule in a list of n flags, 8 bytes a
+    rule, and n valid rules repeat none iff every flag is set.  A strict
+    subset keeps a ``set``, sized by its rules, not by the domain."""
+    if len(rules) == n:
+        flags = [False] * n
+        for rule in rules:
+            if type(rule) is not int or not 0 <= rule < n:
+                raise InvalidRuleError(f"rules and ranks are ints in [0, {n}), not {_show(rule)}")
+            flags[rule] = True
+        if all(flags):
+            return
+    else:
+        for rule in rules:
+            if type(rule) is not int or not 0 <= rule < n:
+                raise InvalidRuleError(f"rules and ranks are ints in [0, {n}), not {_show(rule)}")
+        if len(set(rules)) == len(rules):
+            return
+    seen: set[int] = set()
+    repeat = next(rule for rule in rules if rule in seen or seen.add(rule))
+    raise DuplicateRuleError(f"{repeat} repeats; a permutation of 0..{n - 1} has it once")
 
 
 class GroundTruthOrder:
@@ -159,8 +176,10 @@ class GroundTruthOrder:
     ``ranks`` must be a permutation of [0, n); lower rank applies earlier.
     It is kept as a tuple copied before the check, so an order built from a
     list equals and hashes like one built from the same tuple, and later
-    edits to that list do not reach it.  Orders are immutable: ``ranks``
-    cannot be reassigned, and equal orders hash equal.
+    edits to that list do not reach it.  The check is ``_require_rules``'
+    whole-domain branch: its n flags are all it holds besides the tuple, 16
+    bytes a rank in all.  Orders are immutable: ``ranks`` cannot be
+    reassigned, and equal orders hash equal.
     """
 
     __slots__ = ("ranks",)

@@ -450,6 +450,20 @@ class TestWorstCase:
         assert code == 0
         assert "ground_truth: 0-1-2" in out
 
+    @pytest.mark.parametrize("n", [cli._DASH_SLICE, cli._DASH_SLICE + 1, 2 * cli._DASH_SLICE + 3])
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_long_tuples_render_as_one_dashed_string(self, capsys, n, strategy):
+        # The tuples are joined a slice at a time; the output is one join.
+        code, out, _ = run_cli(
+            capsys, "worst-case", "--n", str(n), "--strategy", strategy,
+            "--mode", "adversarial", "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out)
+        ranks = range(n) if strategy == "block" else range(n - 1, -1, -1)
+        assert row["ground_truth"] == "-".join(map(str, ranks))
+        assert row["presentation"] == "-".join(map(str, range(n)))
+
     def test_csv_json_round_trip(self, capsys):
         assert_csv_json_agree(
             capsys, "worst-case", "--n", "4", "--strategy", "binary",

@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import random
 import sys
+import tracemalloc
 
 import pytest
 from oracles import true_sequence_by_sort
@@ -215,6 +217,49 @@ class TestPackageBuiltRoutes:
             assert all(p is r for p, r in zip(presentation, reorder(truth.ranks)))
             # learn --adversarial takes the order alone, with no presentation.
             assert harness._adversarial_order(n, strategy) == truth
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("order", ["identity", "reversed", "shuffled"])
+    def test_run_trial_learns_the_ranks_own_ints(self, strategy, order, monkeypatch):
+        # With no presentation, 0..n-1 is read off the ranks, so it and the
+        # learned list hold the ranks' int objects.  Ints above 256 are
+        # separate objects unless they are shared.
+        n = 1000
+        truth = {
+            "identity": GroundTruthOrder.identity(n),
+            "reversed": GroundTruthOrder.reversed_identity(n),
+            "shuffled": GroundTruthOrder.shuffled(n, random.Random(5)),
+        }[order]
+        runs = []
+
+        def core(rules, ranks, block):
+            learned, queries = _learn_ranks(rules, ranks, block)
+            runs.append((rules, learned))
+            return learned, queries
+
+        monkeypatch.setattr(harness, "_learn_ranks", core)
+        assert run_trial(n, strategy, truth).correct is True
+        ((rules, learned),) = runs
+        assert rules == list(range(n)) and learned == truth.true_sequence()
+        shared = {rank: rank for rank in truth.ranks}  # each value to its rank object
+        assert all(x is shared[x] for x in rules)
+        assert all(x is shared[x] for x in learned)
+
+    def test_run_trial_without_a_presentation_holds_few_bytes_per_rule(self):
+        # Block on the identity order holds the presentation, the learned
+        # list and the core's end list, about 8 bytes a rule each; a
+        # presentation of new ints took 40 more.  The order is built before
+        # tracing starts.
+        n = 10**5
+        truth = GroundTruthOrder.identity(n)
+        tracemalloc.start()
+        try:
+            result = run_trial(n, "block", truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.correct is True and result.queries == n * (n - 1) // 2
+        assert peak < 30 * n
 
 
 class TestLearnedInRankOrder:

@@ -1188,6 +1188,54 @@ class TestOneRuleContract:
         assert issubclass(InvalidRuleError, InvalidPermutationError)
         assert issubclass(DuplicateRuleError, InvalidPermutationError)
 
+    def test_a_permutation_is_checked_in_one_flag_per_rule(self):
+        # A set of 10**5 ints took about 50 bytes a rule; the whole-domain
+        # check holds n flags of 8 bytes.  The rules are built before
+        # tracing starts.
+        n = 10**5
+        rules = random.Random(7).sample(range(n), n)
+        tracemalloc.start()
+        try:
+            ordering._require_rules(rules, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n
+
+    @pytest.mark.parametrize("n", [3, 100_000])
+    @pytest.mark.parametrize("domain", ["whole", "subset"])
+    def test_an_invalid_rule_after_a_repeat_is_reported_first(self, n, domain):
+        # [1, 1, -5] and the same shape at 10**5: every rule is checked for
+        # its type and range before any repeat is reported, whether the
+        # rules fill the domain (flags) or not (a set).
+        values = [1, 1, *range(2, n - 1), -5]
+        size = n if domain == "whole" else n + 1
+        calls = [
+            lambda: ordering._require_rules(values, size),
+            lambda: learn_order(values, CountingOracle(GroundTruthOrder.identity(size)), "block"),
+        ]
+        if domain == "whole":
+            calls.append(lambda: GroundTruthOrder(values))
+        for call in calls:
+            with pytest.raises(InvalidRuleError) as raised:
+                call()
+            assert type(raised.value) is InvalidRuleError
+            assert str(raised.value) == f"rules and ranks are ints in [0, {size}), not -5"
+
+    @pytest.mark.parametrize(
+        "rules, n, repeat",
+        [
+            ([0, 1, 1, 0], 4, 1),  # 0 repeats too, but later
+            ([3, 2, 0, 2, 3, 0, 1, 4], 8, 2),
+            ([0, 1, 1, 0], 9, 1),
+            ([5, 7, 7, 5], 10, 7),
+        ],
+    )
+    def test_a_repeat_is_named_by_its_first_repeated_occurrence(self, rules, n, repeat):
+        with pytest.raises(DuplicateRuleError) as raised:
+            ordering._require_rules(rules, n)
+        assert str(raised.value) == f"{repeat} repeats; a permutation of 0..{n - 1} has it once"
+
     @staticmethod
     def faulty(case, n):
         """0..n-1 with one fault at the end, where a check that stopped early

@@ -6,16 +6,19 @@ For each layer it prints two figures, in bytes per rule, from ``tracemalloc``:
   before it (its inputs are built first, so they are not counted);
 - ``kept``: what the call's result still holds after it returns.
 
-The layers are the ``GroundTruthOrder`` factories, ``adversarial_ground_truth``
-and, for each strategy on its adversarial instance (the identity order for
-block, the reversed one for binary), ``learn_order`` on a plain counting
-oracle, the unchecked core ``_learn_ranks``, ``run_trial`` with no
-presentation and with the caller's presentation 0..n-1, and
-``adversarial_worst_case``.  Before them it runs ``python -m ruleorder``
-children, ``learn --adversarial`` and ``worst-case --mode adversarial`` at
-the same n for both strategies and ``predict --n 27`` for scale, and prints
-each child's peak resident set size in MB.  A child's figure cannot read
-below this process's own peak RSS, printed as the floor.
+The layers are the ``GroundTruthOrder`` factories, the checked constructor
+``GroundTruthOrder(list)`` and its rule check ``_require_rules`` alone
+(both on a shuffled permutation, so the check's bytes show apart from
+``learn_order``'s), ``adversarial_ground_truth`` and, for each strategy on
+its adversarial instance (the identity order for block, the reversed one
+for binary), ``learn_order`` on a plain counting oracle, the unchecked core
+``_learn_ranks``, ``run_trial`` with no presentation and with the caller's
+presentation 0..n-1, and ``adversarial_worst_case``.  Before them it runs
+``python -m ruleorder`` children, ``learn --adversarial`` and
+``worst-case --mode adversarial`` at the same n for both strategies and
+``predict --n 27`` for scale, and prints each child's peak resident set
+size in MB.  A child's figure cannot read below this process's own peak
+RSS, printed as the floor.
 
 Run it from anywhere in a checkout (standard library only; the child
 figures need ``os.wait4`` and ``resource``, so Unix):
@@ -59,6 +62,13 @@ def traced_bytes(call) -> tuple[int, int]:
     return peak - base, kept - base
 
 
+def shuffled(n: int) -> list[int]:
+    """0..n-1 shuffled by ``SEED``."""
+    ranks = list(range(n))
+    random.Random(SEED).shuffle(ranks)
+    return ranks
+
+
 def rows(ruleorder, n: int):
     """(label, setup or None) for every in-process row, in print order.
     ``setup()`` builds the layer's inputs and returns the call that runs
@@ -71,6 +81,9 @@ def rows(ruleorder, n: int):
         ("GroundTruthOrder.reversed_identity", lambda: partial(order.reversed_identity, n)),
         ("GroundTruthOrder.shuffled",
          lambda: partial(order.shuffled, n, random.Random(SEED))),
+        ("GroundTruthOrder(list)", lambda: partial(order, shuffled(n))),
+        ("_require_rules, a permutation",
+         lambda: partial(ordering._require_rules, shuffled(n), n)),
     ]
     for s in STRATEGIES:
         # The strategy's adversarial ground truth.
