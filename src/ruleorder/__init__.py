@@ -14,7 +14,6 @@ _EXPORTS = {
     "complexity": (
         "ComplexityReport",
         "binary_steps",
-        "binary_steps_approx",
         "block_steps_exact",
         "ceil_log2",
         "comparison_table",

@@ -66,15 +66,6 @@ def log_factorial(n: int) -> float:
     return math.fsum(map(math.log2, range(1, n + 1)))
 
 
-def binary_steps_approx(n: int) -> int:
-    """Factorial-based shortcut for ``binary_steps``: ceil(log2(n!)).
-
-    An underestimate of the exact sum (per-term ceilings are dropped), but
-    never off by more than n.
-    """
-    return math.ceil(log_factorial(n))
-
-
 def naive_steps(n: int) -> int:
     """Steps of brute-force enumeration over all orderings: n!, exact."""
     _require_int(n, 1)

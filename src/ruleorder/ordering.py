@@ -245,9 +245,6 @@ class GroundTruthOrder:
     def n(self) -> int:
         return len(self.ranks)
 
-    def rank_of(self, rule: RuleId) -> int:
-        return self.ranks[rule]
-
     def true_sequence(self) -> list[RuleId]:
         """The sequence a correct learner ends with: slot = rank, so each
         rule is put straight into the slot its rank names, in O(n)."""

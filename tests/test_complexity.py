@@ -9,7 +9,6 @@ from ruleorder import InvariantError, complexity
 from ruleorder.complexity import (
     ComplexityReport,
     binary_steps,
-    binary_steps_approx,
     block_steps_exact,
     ceil_log2,
     learning_duration,
@@ -131,19 +130,22 @@ class TestLogFactorial:
                 log_factorial(n)
 
 
-class TestBinaryStepsApprox:
+class TestFactorialLowerBound:
+    # report(n).b_f_n is ceil(log2(n!)), the factorial-based shortcut for
+    # binary_steps: an underestimate of the exact sum (per-term ceilings are
+    # dropped), but never off by more than n.
     @pytest.mark.parametrize("n,expected", [(1, 0), (2, 1), (27, 94), (1000, 8530)])
     def test_known_values(self, n, expected):
-        assert binary_steps_approx(n) == expected
+        assert report(n).b_f_n == expected
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_exact_big_integer_ceiling(self, n):
-        assert binary_steps_approx(n) == ceil_log2(naive_steps(n))
+        assert report(n).b_f_n == ceil_log2(naive_steps(n))
 
     def test_bounds_against_exact_sum_at_1000(self):
         b = binary_steps(1000)
         lf = log_factorial(1000)
-        assert binary_steps_approx(1000) == math.ceil(lf)
+        assert report(1000).b_f_n == math.ceil(lf)
         assert lf < b < lf + 1000
 
 

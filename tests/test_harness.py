@@ -107,14 +107,21 @@ class TestRunTrial:
             result.queries = 0
 
 
+def _scattered(n):
+    """A ground truth of n rules that is neither the identity nor reversed."""
+    return GroundTruthOrder([(7 * i + 3) % n for i in range(n)] if n % 7 else range(n))
+
+
 class TestPackageBuiltRoutes:
-    # adversarial_worst_case and run_trial with no presentation learn an
-    # instance the package built, so they call the core once per run, and
-    # learn_order not at all, unless a wrapper is installed.
+    # adversarial_worst_case and run_trial, with or without a caller's
+    # presentation, call the core once per run, and learn_order not at
+    # all, unless a wrapper is installed.
     ROUTES = {
         "adversarial_worst_case": lambda n, s: adversarial_worst_case(n, s, PLACEMENT),
-        "run_trial": lambda n, s: run_trial(n, s, GroundTruthOrder(
-            [(7 * i + 3) % n for i in range(n)] if n % 7 else range(n)), model=PLACEMENT),
+        "run_trial": lambda n, s: run_trial(n, s, _scattered(n), model=PLACEMENT),
+        # A caller's presentation need not be a list: it is copied once.
+        "run_trial, caller's presentation": lambda n, s: run_trial(
+            n, s, _scattered(n), iter(range(n)), model=PLACEMENT),
     }
 
     @staticmethod
@@ -145,7 +152,7 @@ class TestPackageBuiltRoutes:
         assert self.ROUTES[route](n, strategy) == expected
         assert learn_calls == []
         ((rules, ranks, block),) = core_calls
-        assert (rules, block) == (list(range(n)), strategy == "block")
+        assert (list(rules), block) == (list(range(n)), strategy == "block")
         assert type(ranks) is tuple and sorted(ranks) == list(range(n))
 
     @pytest.mark.parametrize("route", ROUTES)
@@ -188,24 +195,36 @@ class TestPackageBuiltRoutes:
                 )
 
     @pytest.mark.parametrize(
-        "presentation, error, message",
+        "presentation, strategy, error, message",
         [
-            ([0, True, 2], InvalidRuleError, "rules and ranks are ints in [0, 3), not True"),
-            ([0, 1, 2.0], InvalidRuleError, "rules and ranks are ints in [0, 3), not 2.0"),
-            ([0, 1, 1], DuplicateRuleError, "1 repeats; a permutation of 0..2 has it once"),
-            ([0, 1, 3], InvalidRuleError, "rules and ranks are ints in [0, 3), not 3"),
-            ([0, -1, 2], InvalidRuleError, "rules and ranks are ints in [0, 3), not -1"),
-            ([0, 1], InvalidPermutationError, "presentation has 2 rules, not 3"),
+            ([0, True, 2], "block", InvalidRuleError,
+             "rules and ranks are ints in [0, 3), not True"),
+            ([0, 1, 2.0], "block", InvalidRuleError, "rules and ranks are ints in [0, 3), not 2.0"),
+            ([0, 1, 1], "block", DuplicateRuleError,
+             "1 repeats; a permutation of 0..2 has it once"),
+            ([0, 1, 3], "block", InvalidRuleError, "rules and ranks are ints in [0, 3), not 3"),
+            ([0, -1, 2], "block", InvalidRuleError, "rules and ranks are ints in [0, 3), not -1"),
+            ([0, 1], "block", InvalidPermutationError, "presentation has 2 rules, not 3"),
+            # The length is checked before the strategy, the strategy
+            # before the rules.
+            ([0, 1], "bogus", InvalidPermutationError, "presentation has 2 rules, not 3"),
+            ([0, True, 2], "bogus", ValueError,
+             "unknown strategy 'bogus' (choose from: block, binary)"),
+            # A generator is copied once, then checked like a list.
+            ((x for x in [0, 1, 1]), "binary", DuplicateRuleError,
+             "1 repeats; a permutation of 0..2 has it once"),
+            ((x for x in [0, 1]), "binary", InvalidPermutationError,
+             "presentation has 2 rules, not 3"),
         ],
     )
     def test_a_callers_presentation_keeps_the_full_check(
-        self, presentation, error, message, monkeypatch
+        self, presentation, strategy, error, message, monkeypatch
     ):
-        core_calls, _ = self.counting(monkeypatch)
+        core_calls, learn_calls = self.counting(monkeypatch)
         with pytest.raises(error) as raised:
-            run_trial(3, "block", GroundTruthOrder.identity(3), presentation)
+            run_trial(3, strategy, GroundTruthOrder.identity(3), presentation)
         assert str(raised.value) == message
-        assert core_calls == []
+        assert core_calls == learn_calls == []
 
     @pytest.mark.parametrize("n", [1, 2, 257, 1000])
     def test_adversarial_presentations_share_the_ranks_ints(self, n):
@@ -245,29 +264,33 @@ class TestPackageBuiltRoutes:
         assert all(x is shared[x] for x in rules)
         assert all(x is shared[x] for x in learned)
 
-    def test_run_trial_without_a_presentation_holds_few_bytes_per_rule(self):
-        # Block on the identity order holds the presentation, the learned
-        # list and the core's end list, about 8 bytes a rule each; a
-        # presentation of new ints took 40 more.  The order is built before
-        # tracing starts.
+    @pytest.mark.parametrize("callers", [False, True])
+    def test_run_trial_holds_few_bytes_per_rule(self, callers):
+        # Block on the identity order holds 0..n-1 read off the ranks, the
+        # learned list and the core's end list, about 8 bytes a rule each;
+        # a presentation of new ints took 40 more.  A caller's presentation
+        # adds its one copy: it once took about 64 bytes a rule, copied
+        # twice and compared with a list of new ints.  The order and the
+        # caller's list are built before tracing starts.
         n = 10**5
         truth = GroundTruthOrder.identity(n)
+        presentation = list(range(n)) if callers else None
         tracemalloc.start()
         try:
-            result = run_trial(n, "block", truth)
+            result = run_trial(n, "block", truth, presentation)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert result.correct is True and result.queries == n * (n - 1) // 2
-        assert peak < 30 * n
+        assert peak < (34 if callers else 30) * n
 
 
 class TestLearnedInRankOrder:
     RANKS = (2, 0, 3, 1)  # rules by rank: 1, 3, 0, 2
 
     def test_accepts_the_true_sequence(self):
-        assert harness._learned_in_rank_order([1, 3, 0, 2], self.RANKS)
-        assert harness._learned_in_rank_order([], ())
+        assert harness._learned_in_rank_order([1, 3, 0, 2], self.RANKS, [0, 1, 2, 3])
+        assert harness._learned_in_rank_order([], (), [])
 
     @pytest.mark.parametrize(
         "learned",
@@ -282,14 +305,14 @@ class TestLearnedInRankOrder:
         ],
     )
     def test_rejects_anything_else(self, learned):
-        assert not harness._learned_in_rank_order(learned, self.RANKS)
+        assert not harness._learned_in_rank_order(learned, self.RANKS, [0, 1, 2, 3])
 
     def test_agrees_with_the_sort_on_every_arrangement(self):
         for n in range(5):
             ranks = tuple(range(n - 1, -1, -1))
             truth = true_sequence_by_sort(GroundTruthOrder(ranks))
             for learned in itertools.permutations(range(n)):
-                assert harness._learned_in_rank_order(list(learned), ranks) is (
+                assert harness._learned_in_rank_order(list(learned), ranks, list(range(n))) is (
                     list(learned) == truth
                 )
 
@@ -445,6 +468,30 @@ class TestAdversarialGroundTruth:
                 driver()
             assert str(driver_error.value) == str(ordering_error.value)
 
+    @pytest.mark.parametrize("model", ["comparisons", None, 1])
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda model: exhaustive_worst_case(8, "block", model),
+            lambda model: run_trial(3, "binary", GroundTruthOrder.identity(3), [2, 0, 1], model),
+            lambda model: adversarial_worst_case(3, "block", model),
+        ],
+        ids=["exhaustive_worst_case", "run_trial", "adversarial_worst_case"],
+    )
+    def test_drivers_reject_a_model_that_is_not_a_cost_model_before_any_run(
+        self, driver, model, monkeypatch
+    ):
+        # "comparisons" once ran all 8! instances, then leaked a bare
+        # AttributeError from model.value.
+        def no_run(*args):
+            raise AssertionError("learned with a bad cost model")
+
+        monkeypatch.setattr(harness, "_learn_ranks", no_run)
+        monkeypatch.setattr(harness, "learn_order", no_run)
+        with pytest.raises(TypeError) as error:
+            driver(model)
+        assert str(error.value) == f"model must be a CostModel, got {model!r}"
+
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     def test_wrong_learned_order_raises(self, monkeypatch, strategy):
         # The learned order with its first two rules swapped, its last rule
@@ -454,10 +501,8 @@ class TestAdversarialGroundTruth:
             lambda seq: seq[:-1],
             lambda seq: [*seq[:-1], seq[0]],
         )
-        # random_trials, adversarial_worst_case and run_trial with no
-        # presentation learn through the core, run_trial with the caller's
-        # presentation through learn_order; a wrong learner on either path
-        # is caught.
+        # Every driver learns through the core, and through learn_order
+        # while it is wrapped; a wrong learner on either path is caught.
         truth = GroundTruthOrder((2, 0, 3, 1))
         for wrong in wrongs:
             def wrong_core(rules, ranks, block, wrong=wrong):
@@ -473,7 +518,7 @@ class TestAdversarialGroundTruth:
                 with pytest.raises(IncorrectOrderError):
                     adversarial_worst_case(4, strategy)
                 assert run_trial(4, strategy, truth).correct is False
-                assert run_trial(4, strategy, truth, [0, 1, 2, 3]).correct is True
+                assert run_trial(4, strategy, truth, [0, 1, 2, 3]).correct is False
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "learn_order", wrong_learner)
                 assert run_trial(4, strategy, truth, [3, 1, 0, 2]).correct is False

@@ -48,7 +48,7 @@ class TestGroundTruthOrder:
     def test_true_sequence_inverts_ranks(self):
         order = GroundTruthOrder((2, 0, 1))
         assert order.true_sequence() == [1, 2, 0]
-        assert order.rank_of(1) == 0
+        assert order.ranks[1] == 0
 
     @pytest.mark.parametrize(
         "ranks", [(0, 0), (1, 2), (0, 2), (-1, 0), ("a", 1), (0.0, 1.0), (True, False)]

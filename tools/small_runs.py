@@ -19,9 +19,13 @@ Last come the ``block-adversarial`` workload's call,
 ``adversarial_worst_case(500, "block")``, and its layers on the block
 adversarial instance: ``adversarial_ground_truth``, ``_require_rules`` (the
 check ``learn_order`` runs on a caller's rules, and the driver does not),
-``_learn_ranks`` and ``_learned_in_rank_order``.  A traced benchmark run
-sends every driver through ``learn_order``, so these untraced rows are the
-per-layer view of that workload.
+``_learn_ranks`` and ``_learned_in_rank_order``.  Then the
+``learn-binary-large`` workload's call, ``run_trial(20000, "binary", truth,
+presentation)`` on a shuffled order presented in reverse true order, and
+its layers on that instance: ``_require_rules`` (its check of the caller's
+rules), ``_learn_ranks`` and ``_learned_in_rank_order``.  A traced
+benchmark run sends every driver through ``learn_order``, so these
+untraced rows are the per-layer view of those workloads.
 
 Run it from anywhere in a checkout (standard library only):
 
@@ -47,6 +51,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 STRATEGIES = ("block", "binary")
 SEED = 1  # fixed inputs: the same shuffles on every run and every tree
 ADVERSARIAL_N = 500  # the size block-adversarial times
+LARGE_N = 20_000  # the size learn-binary-large times
 
 
 def per_call_us(call, rounds: int, round_s: float) -> tuple[float, float]:
@@ -82,6 +87,7 @@ def rows(ruleorder):
         presentation = list(range(n))
         rng.shuffle(presentation)
         learned = truth.true_sequence()
+        in_order = list(range(n))
         for strategy in STRATEGIES:
             oracle = ordering.CountingOracle(truth)
             out.append((f"{'learn_order':<22} n={n:<3} {strategy}",
@@ -92,7 +98,8 @@ def rows(ruleorder):
         out.append((f"{'_require_rules':<22} n={n}",
                     lambda p=presentation, n=n: ordering._require_rules(p, n)))
         out.append((f"{'_learned_in_rank_order':<22} n={n}",
-                    lambda l=learned, r=truth.ranks: harness._learned_in_rank_order(l, r)))
+                    lambda l=learned, r=truth.ranks, i=in_order:
+                    harness._learned_in_rank_order(l, r, i)))
     for strategy in STRATEGIES:
         out.append((f"exhaustive_worst_case(6, {strategy})",
                     lambda s=strategy: harness.exhaustive_worst_case(6, s)))
@@ -111,11 +118,33 @@ def rows(ruleorder):
         (f"{'_learn_ranks':<24} n={n} block",
          core and (lambda: core(presentation, truth.ranks, True))),
         (f"{'_learned_in_rank_order':<24} n={n}",
-         lambda: harness._learned_in_rank_order(learned, truth.ranks)),
+         lambda: harness._learned_in_rank_order(learned, truth.ranks, presentation)),
         (f"adversarial_worst_case({n}, block)",
          lambda: harness.adversarial_worst_case(n, "block")),
     ]
+    out += large_rows(ordering, harness, core)
     return out
+
+
+def large_rows(ordering, harness, core):
+    """The learn-binary-large workload's call and the layers it is made of:
+    a shuffled order, presented in reverse true order, so every rule lands
+    at the front."""
+    n = LARGE_N
+    truth = ordering.GroundTruthOrder.shuffled(n, random.Random(SEED))
+    learned = truth.true_sequence()
+    presentation = learned[::-1]
+    in_order = list(range(n))
+    return [
+        (f"{'_require_rules':<24} n={n}",
+         lambda: ordering._require_rules(presentation, n)),
+        (f"{'_learn_ranks':<24} n={n} binary",
+         core and (lambda: core(presentation, truth.ranks, False))),
+        (f"{'_learned_in_rank_order':<24} n={n}",
+         lambda: harness._learned_in_rank_order(learned, truth.ranks, in_order)),
+        (f"run_trial({n}, binary, reversed)",
+         lambda: harness.run_trial(n, "binary", truth, presentation)),
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
