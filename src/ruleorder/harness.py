@@ -6,15 +6,21 @@ adversarial (constructions that attain the worst-case formulas), and random
 drivers build themselves is a permutation by construction, so the drivers
 call the unchecked core ``ordering._learn_ranks`` directly: no oracle, no
 copy and no rule check per run, only one strategy check per call.  That
-holds for ``exhaustive_worst_case``, ``random_trials``,
-``adversarial_worst_case`` and ``run_trial`` with no presentation (it
-presents 0..n-1).  ``run_trial`` copies a presentation from the caller
-once and checks its rules once (``_require_rules``), then learns it
-through the same core.  While a wrapper replaces ``learn_order`` here or
+holds for ``random_trials``, ``adversarial_worst_case`` and ``run_trial``
+with no presentation (it presents 0..n-1).  ``run_trial`` copies a
+presentation from the caller once and checks its rules once
+(``_require_rules``), then learns it through the same core.
+``exhaustive_worst_case`` runs no learner: relabelling each rule as its
+rank makes every ground truth under presentation 0..n-1 the identity
+order under a permuted presentation, so it walks the tree of those
+presentations' prefixes once (``_walk``) and prices each landing from one
+table of what the flat per-query searches ask (``_landing_costs``).
+While a wrapper replaces ``learn_order`` here or
 ``CountingOracle.precedes``, the drivers learn through ``learn_order``
-instead, so it sees every run (``_learner``).  Every route checks the
-learned list against the ground truth.  Calls share nothing and can be
-executed in any order.
+instead, so it sees every run (``_learner``), and the exhaustive search
+makes one run per ground truth.  Every driver but the exhaustive search
+checks the learned list against the ground truth.  Calls share nothing
+and can be executed in any order.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .ordering import (
     GroundTruthOrder,
     IncorrectOrderError,
     InvalidPermutationError,
+    InvariantError,
     RuleId,
     SizeLimitError,
     _block_position,
@@ -203,6 +210,72 @@ def run_trial(
     )
 
 
+def _landing_costs(n: int, finder) -> list[list[int]]:
+    """``rows[m][p]`` for m < n: the queries ``finder``, a strategy's flat
+    per-query search (``_block_position``, ``_binary_position``), asks to
+    land a rule at p among m placed rules.  Each is counted on a
+    ``CountingOracle`` over the identity order, searching for rule p among
+    the other rules of 0..m, so the finders stay the one definition of what
+    a landing costs."""
+    oracle = CountingOracle(GroundTruthOrder.identity(n))
+    rows = []
+    for m in range(n):
+        row = []
+        for p in range(m + 1):
+            oracle.reset()
+            if finder([*range(p), *range(p + 1, m + 1)], p, oracle) != p:
+                raise InvariantError(f"rule {p} did not land at {p} of {m} placed rules")
+            row.append(oracle.query_count)
+        rows.append(row)
+    return rows
+
+
+def _walk(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """The largest query count of a presentation of 0..n - 1 against the
+    identity order, n = ``len(rows)``, priced by ``rows``
+    (``_landing_costs``), and the first presentation in
+    ``itertools.permutations`` order that asks it.
+
+    A depth-first walk of the tree of presentation prefixes: at depth m the
+    rule with the k-th smallest value v of those left (k from 0) lands at
+    p = v - k among the m placed rules, since of the v values below it the
+    k smaller ones left are all that is not placed, and the walk adds
+    ``rows[m][p]`` to the prefix's count.  Values are taken in ascending
+    order, as ``itertools.permutations`` takes them, so each prefix is
+    priced once, about e * n! additions in place of n * n! landings, and
+    the presentations are reached in that order: keeping the first strict
+    maximum keeps the first presentation that attains it.  The last two
+    rules, a < b, are priced inline: a then b lands at a then b, and b then
+    a at b - 1 then a.
+    """
+    n = len(rows)
+    if n == 1:
+        return rows[0][0], (0,)
+    best, first = -1, ()
+    path = [0] * n  # path[:m] is the prefix at depth m
+    last = rows[-1]
+    penultimate = n - 2
+
+    def walk(m: int, rest: tuple[int, ...], total: int) -> None:
+        nonlocal best, first
+        row = rows[m]
+        if m == penultimate:
+            a, b = rest
+            count = total + row[a] + last[b]
+            if count > best:
+                best, first = count, (*path[:m], a, b)
+            count = total + row[b - 1] + last[a]
+            if count > best:
+                best, first = count, (*path[:m], b, a)
+        else:
+            for k, v in enumerate(rest):
+                path[m] = v
+                walk(m + 1, rest[:k] + rest[k + 1:], total + row[v - k])
+
+    walk(0, tuple(range(n)), 0)
+    return best, first
+
+
 def exhaustive_worst_case(
     n: int,
     strategy: str,
@@ -217,14 +290,19 @@ def exhaustive_worst_case(
     each rule's landing position among the rules already placed is uniform
     whatever the presentation (the inversion table, TAOCP vol. 3, 5.1.1).
 
-    The search runs every instance against the identity order, with no
-    oracle: ``_learn_ranks(ranks, identity, block)`` on each permutation,
-    which is a permutation by construction, so it is not copied or checked;
-    the strategy is checked once, up front.  Relabelling each rule i as its
-    rank turns ground truth ``ranks`` under presentation 0..n-1 into the
-    identity order under presentation ``ranks``: every query (i, j) becomes
-    (ranks[i], ranks[j]) with the same answer, so each run asks as many
-    queries as the original instance.
+    Relabelling each rule i as its rank turns ground truth ``ranks`` under
+    presentation 0..n-1 into the identity order under presentation
+    ``ranks``: every query (i, j) becomes (ranks[i], ranks[j]) with the
+    same answer, so it asks as many queries as the original instance.  The
+    ground truths in ``itertools.permutations`` order are thus the
+    presentations in that order, which ``_walk`` prices by walking their
+    prefix tree once, from one table of landing costs built per call by
+    the strategy's flat search (``_landing_costs``); it runs no learner.
+    It keeps the first strict maximum in that order, so it reports the
+    instance that one run per ground truth reported.  While a run could be
+    watched (``_learner``), each ground truth is instead learned by
+    ``learn_order`` against the identity, so a wrapper sees n! runs in the
+    same order.  The strategy is checked once, up front.
     """
     _require_int(n, 1)
     if n > EXHAUSTIVE_CAP_FIXED:
@@ -232,24 +310,26 @@ def exhaustive_worst_case(
             f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {_show(n)}"
         )
 
-    block = _position_finder(strategy) is _block_position  # ValueError if unknown
+    finder = _position_finder(strategy)  # ValueError if unknown
     _require_model(model)
-    learn = _learner()
     identity = tuple(range(n))
-    best = -1
-    best_ranks: tuple[int, ...] = ()
-    for ranks in itertools.permutations(identity):
-        queries = learn(ranks, identity, block)[1]
-        if queries > best:
-            best = queries
-            best_ranks = ranks
+    learn = _learner()
+    if learn is _learn_watched:  # one run per ground truth, for the wrapper
+        block = finder is _block_position
+        best, first = -1, ()
+        for ranks in itertools.permutations(identity):
+            queries = learn(ranks, identity, block)[1]
+            if queries > best:
+                best, first = queries, ranks
+    else:
+        best, first = _walk(_landing_costs(n, finder))
     return WorstCaseReport(
         strategy=strategy,
         n=n,
         mode=MODE_EXHAUSTIVE,
         cost_model=model.value,
         max_steps=model.steps(best, n),
-        ground_truth_ranks=best_ranks,
+        ground_truth_ranks=first,
         presentation=identity,
     )
 

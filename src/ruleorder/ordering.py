@@ -504,8 +504,9 @@ def _learn_ranks(
     size = (len(rules) - 1) // width + 1
     # A bucket's list is made when its first middle rank lands.  Making
     # them all up front, as one list comprehension, is a fixed cost of every
-    # small run: exhaustive_worst_case(6, .) took 4.8% (binary) and 7.4%
-    # (block) longer (CPython 3.11, shared 2-vCPU x86-64).
+    # small run: one call on a shuffled n = 6 took 17% longer (both
+    # strategies) and random_trials(27, ., 100) about 1% (block 12, binary
+    # 13 of 20 rounds slower) (CPython 3.11, shared 2-vCPU x86-64).
     buckets: list[list[int] | None] = [None] * size
     # Fenwick tree over the lengths of every bucket but the last, which is
     # never below another: below[i] sums buckets[i - (i & -i):i].

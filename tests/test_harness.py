@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import random
 import sys
 import tracemalloc
@@ -29,7 +28,7 @@ from ruleorder import (
     learn_order,
     run_trial,
 )
-from ruleorder.ordering import _learn_ranks
+from ruleorder.ordering import _learn_ranks, _position_finder
 
 PLACEMENT = CostModel.COMPARISONS_PLUS_PLACEMENT
 
@@ -320,31 +319,73 @@ class TestLearnedInRankOrder:
 class TestExhaustiveWorstCase:
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_one_learn_order_call_per_ground_truth(self, n, strategy, monkeypatch):
-        # One learn per ground truth: a call of the core on each permutation,
-        # against the identity ranks; or, while learn_order is wrapped, one
-        # call of the wrapper, with the same report.
-        core_calls, calls = [], []
-
-        def counting_core(*args):
-            core_calls.append(args)
-            return _learn_ranks(*args)
-
-        def counting(*args):
-            calls.append(args)
-            return learn_order(*args)
-
-        monkeypatch.setattr(harness, "_learn_ranks", counting_core)
+    def test_learns_once_per_ground_truth_only_while_watched(self, n, strategy, monkeypatch):
+        # Unwatched, the search walks the prefix tree and learns nothing:
+        # no core call and no learn_order call.  While learn_order is
+        # wrapped, it makes one learn_order call per ground truth, against
+        # the identity order, in itertools.permutations order, and reports
+        # the same instance.
+        core_calls, calls = TestPackageBuiltRoutes.counting(monkeypatch)
         report = exhaustive_worst_case(n, strategy)
-        identity = tuple(range(n))
-        assert [rules for rules, _, _ in core_calls] == list(itertools.permutations(identity))
-        assert {(ranks, block) for _, ranks, block in core_calls} == {
-            (identity, strategy == "block")
-        }
-        monkeypatch.setattr(harness, "learn_order", counting)
+        assert (core_calls, calls) == ([], [])
+        monkeypatch.setattr(harness, "_LEARN_ORDER", learn_order)  # learn_order wrapped
         assert exhaustive_worst_case(n, strategy) == report
-        assert len(calls) == math.factorial(n)
-        assert len(core_calls) == math.factorial(n)
+        identity = tuple(range(n))
+        assert [rules for rules, _, _ in calls] == list(itertools.permutations(identity))
+        assert {(oracle.order.ranks, s) for _, oracle, s in calls} == {(identity, strategy)}
+        assert core_calls == []
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_walk_matches_a_run_per_ground_truth(self, n, strategy):
+        # The per-ground-truth loop the walk replaced, on the core: the walk
+        # finds the same maximum and the same first instance attaining it,
+        # and both cost models report them.
+        identity = tuple(range(n))
+        best, first = -1, None
+        for ranks in itertools.permutations(identity):
+            queries = _learn_ranks(ranks, identity, strategy == "block")[1]
+            if queries > best:
+                best, first = queries, ranks
+        rows = harness._landing_costs(n, _position_finder(strategy))
+        assert harness._walk(rows) == (best, first)
+        for model in CostModel:
+            report = exhaustive_worst_case(n, strategy, model)
+            assert (report.max_steps, report.ground_truth_ranks, report.presentation) == (
+                model.steps(best, n), first, identity
+            )
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_the_cores_charge_for_each_landing_is_the_table_entry(self, strategy):
+        # The core prices a landing inline; the table reads the flat finder.
+        # Landing rule p after the other rules of 0..m, placed in several
+        # orders so that every branch of the core is taken, costs the core
+        # rows[m][p] more than placing those m rules alone.
+        block = strategy == "block"
+        rows = harness._landing_costs(8, _position_finder(strategy))
+        assert [len(row) for row in rows] == list(range(1, 9))
+        rng = random.Random(1)
+        for m in range(8):
+            for p in range(m + 1):
+                placed = [*range(p), *range(p + 1, m + 1)]
+                orders = [placed, placed[::-1]] + [rng.sample(placed, m) for _ in range(4)]
+                for prefix in orders:
+                    alone = {x: x - (x > p) for x in prefix}  # ranked among themselves
+                    before = _learn_ranks(prefix, alone, block)[1] if m else 0
+                    after = _learn_ranks([*prefix, p], range(m + 1), block)[1]
+                    assert after - before == rows[m][p], (m, p, prefix)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_per_insertion_maxima_sum_to_the_exhaustive_maximum(self, n):
+        # Each landing position is free over all ground truths, so the
+        # worst case is the sum of each insertion's worst landing.
+        for strategy, closed_form in (
+            ("block", block_steps_exact(n) - (n - 1)),
+            ("binary", binary_steps(n)),
+        ):
+            rows = harness._landing_costs(n, _position_finder(strategy))
+            assert sum(map(max, rows)) == exhaustive_worst_case(n, strategy).max_steps
+            assert sum(map(max, rows)) == closed_form
 
     @pytest.mark.parametrize(
         "strategy, ground_truth",
@@ -454,6 +495,8 @@ class TestAdversarialGroundTruth:
 
         monkeypatch.setattr(harness, "_learn_ranks", no_run)
         monkeypatch.setattr(harness, "learn_order", no_run)
+        monkeypatch.setattr(harness, "_landing_costs", no_run)
+        monkeypatch.setattr(harness, "_walk", no_run)
         monkeypatch.setattr(harness.GroundTruthOrder, "shuffled", no_run)
         with pytest.raises(ValueError) as ordering_error:
             learn_order([0], CountingOracle(GroundTruthOrder.identity(1)), strategy)
@@ -488,6 +531,8 @@ class TestAdversarialGroundTruth:
 
         monkeypatch.setattr(harness, "_learn_ranks", no_run)
         monkeypatch.setattr(harness, "learn_order", no_run)
+        monkeypatch.setattr(harness, "_landing_costs", no_run)
+        monkeypatch.setattr(harness, "_walk", no_run)
         with pytest.raises(TypeError) as error:
             driver(model)
         assert str(error.value) == f"model must be a CostModel, got {model!r}"

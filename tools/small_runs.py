@@ -3,8 +3,9 @@
 The ``harness-small-n`` benchmark workload makes thousands of tiny runs, so
 fixed costs per run decide its time.  This prints the best-of-rounds time
 per call, in microseconds, of each layer such a run goes through, at
-n = 6 (the exhaustive search) and n = 27 (the random trials), for both
-strategies:
+n = 6 (the exhaustive search's size; the search itself runs these layers
+only while a run is watched, and otherwise walks its prefix tree) and
+n = 27 (the random trials), for both strategies:
 
 - ``learn_order`` on a plain counting oracle, with its full rule check;
 - ``_learn_ranks``, the unchecked core the harness drivers call;
@@ -12,8 +13,10 @@ strategies:
 - ``_learned_in_rank_order``, the harness's check of a learned list;
 
 then each driver call the workload times: ``exhaustive_worst_case(6, s)``
-and ``random_trials(27, s, 100, seed, shuffle_presentation=True)``.  The
-presentation and the ground truth of the layer rows are fixed shuffles.
+and ``random_trials(27, s, 100, seed, shuffle_presentation=True)``, with
+``exhaustive_worst_case(8, s)``, the size CI runs and the workload checks
+once a run, between them.  The presentation and the ground truth of the
+layer rows are fixed shuffles.
 
 Last come the ``block-adversarial`` workload's call,
 ``adversarial_worst_case(500, "block")``, and its layers on the block
@@ -52,6 +55,7 @@ STRATEGIES = ("block", "binary")
 SEED = 1  # fixed inputs: the same shuffles on every run and every tree
 ADVERSARIAL_N = 500  # the size block-adversarial times
 LARGE_N = 20_000  # the size learn-binary-large times
+EXHAUSTIVE_CAP = 8  # the exhaustive size CI gates and harness-small-n checks once a run
 
 
 def per_call_us(call, rounds: int, round_s: float) -> tuple[float, float]:
@@ -100,9 +104,10 @@ def rows(ruleorder):
         out.append((f"{'_learned_in_rank_order':<22} n={n}",
                     lambda l=learned, r=truth.ranks, i=in_order:
                     harness._learned_in_rank_order(l, r, i)))
-    for strategy in STRATEGIES:
-        out.append((f"exhaustive_worst_case(6, {strategy})",
-                    lambda s=strategy: harness.exhaustive_worst_case(6, s)))
+    for n in (6, EXHAUSTIVE_CAP):
+        for strategy in STRATEGIES:
+            out.append((f"exhaustive_worst_case({n}, {strategy})",
+                        lambda n=n, s=strategy: harness.exhaustive_worst_case(n, s)))
     for strategy in STRATEGIES:
         out.append((f"random_trials(27, {strategy}, 100)",
                     lambda s=strategy: harness.random_trials(27, s, 100, SEED,
