@@ -11,6 +11,22 @@ __version__ = "0.1.0"
 
 # Public names by the submodule that defines them.
 _EXPORTS = {
+    "common": (
+        "STRATEGIES",
+        "STRATEGY_BINARY",
+        "STRATEGY_BLOCK",
+        "CostModel",
+        "DuplicateRuleError",
+        "EmptyUniverseError",
+        "IncorrectOrderError",
+        "InvalidPermutationError",
+        "InvalidQueryError",
+        "InvalidRuleError",
+        "InvariantError",
+        "OrderingError",
+        "SizeLimitError",
+        "UnsortedSequenceError",
+    ),
     "complexity": (
         "ComplexityReport",
         "binary_steps",
@@ -27,7 +43,6 @@ _EXPORTS = {
     "harness": (
         "TrialResult",
         "TrialSummary",
-        "WorstCaseReport",
         "adversarial_ground_truth",
         "adversarial_worst_case",
         "exhaustive_worst_case",
@@ -35,27 +50,14 @@ _EXPORTS = {
         "run_trial",
     ),
     "ordering": (
-        "STRATEGIES",
-        "STRATEGY_BINARY",
-        "STRATEGY_BLOCK",
-        "CostModel",
         "CountingOracle",
-        "DuplicateRuleError",
-        "EmptyUniverseError",
         "GroundTruthOrder",
-        "IncorrectOrderError",
-        "InvalidPermutationError",
-        "InvalidQueryError",
-        "InvalidRuleError",
-        "InvariantError",
-        "OrderingError",
         "RuleId",
-        "SizeLimitError",
-        "UnsortedSequenceError",
         "binary_insert",
         "block_insert",
         "learn_order",
     ),
+    "worstcase": ("WorstCaseReport",),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,10 +8,11 @@ violation (a run that learned a wrong order, which ``learn`` reports after
 its row, or predictors that break their proven bounds); ``main`` alone maps
 errors to codes.
 
-Each command imports only what it runs: ``harness`` (and with it
-``dataclasses``) is loaded by ``learn`` and ``worst-case`` alone, and
-``json``, ``csv``, ``Decimal`` and ``random`` only by the format or option
-that needs them.
+Each command imports only what it runs.  Every command loads ``common``;
+``predict`` and ``table`` add ``complexity``; ``learn`` adds ``ordering``
+and ``harness``; ``worst-case`` adds those two and ``worstcase`` (and with
+it ``dataclasses``).  ``json``, ``csv``, ``Decimal`` and ``random`` load
+only with the format or option that needs them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import argparse
 import os
 import sys
 
-from . import complexity
-from .ordering import (
+from .common import (
     STRATEGIES,
     CostModel,
-    GroundTruthOrder,
     IncorrectOrderError,
     InvariantError,
     OrderingError,
@@ -34,20 +33,29 @@ from .ordering import (
 
 FORMATS = ("human", "csv", "json")
 
-# The --mode choices of worst-case: harness.MODE_EXHAUSTIVE and
-# harness.MODE_ADVERSARIAL, spelled out so building the parser does not
-# import harness.
+# The --mode choices of worst-case: worstcase.MODE_EXHAUSTIVE and
+# worstcase.MODE_ADVERSARIAL, spelled out so building the parser does not
+# import it.
 WORST_CASE_MODES = ("exhaustive", "adversarial")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 
+
+def _scientific(value: int) -> str:
+    """``complexity.scientific(value)``, importing ``complexity`` only once a
+    command prints e-notation, so ``learn`` and ``worst-case`` never do."""
+    from . import complexity
+
+    return complexity.scientific(value)
+
+
 # The table's columns in order, each with how the human format prints it;
 # csv and json print the values themselves.
 TABLE_COLUMNS = (
     ("n", str),
-    ("naive", complexity.scientific),
+    ("naive", _scientific),
     ("s_n", str),
     ("b_n", str),
     ("speedup", "{:.3f}".format),
@@ -144,7 +152,7 @@ def _emit(rows: list[dict], fmt: str, table: bool = False) -> None:
             return
         for row in rows:
             for key, value in row.items():
-                shown = complexity.scientific(value) if key == "naive" else _cell(value)
+                shown = _scientific(value) if key == "naive" else _cell(value)
                 sys.stdout.write(f"{key}: {shown}\n")
         return
     rows = [
@@ -193,7 +201,7 @@ def _parse_ranks(text: str, where: str) -> list[int]:
     return ranks
 
 
-def _load_permutation(value: str, n: int) -> GroundTruthOrder:
+def _load_permutation(value: str, n: int) -> list[int]:
     """Ranks by rule id, either inline ("2,0,1") or from a one-line file."""
     # Unlike Path.is_file, isfile is False, not an OSError, for an inline
     # permutation too long to be a file name.
@@ -214,7 +222,7 @@ def _load_permutation(value: str, n: int) -> GroundTruthOrder:
         raise ValueError(f"permutation file not found: {_show(value)}")
     if len(ranks) != n:
         raise ValueError(f"permutation has {len(ranks)} ranks, expected {_show(n)}")
-    return GroundTruthOrder(ranks)
+    return ranks
 
 
 # --------------------------------------------------------------------------
@@ -222,12 +230,15 @@ def _load_permutation(value: str, n: int) -> GroundTruthOrder:
 # --------------------------------------------------------------------------
 
 def _cmd_predict(args) -> int:
+    from . import complexity
+
     _emit([complexity.report(_positive_n(args))._asdict()], args.format)
     return EXIT_OK
 
 
 def _cmd_learn(args) -> int:
     from . import harness
+    from .ordering import GroundTruthOrder
 
     n = _positive_n(args)
     model = CostModel(args.cost_model)
@@ -244,7 +255,7 @@ def _cmd_learn(args) -> int:
         ground_truth = GroundTruthOrder.shuffled(n, random.Random(args.seed))
         source = f"seed={args.seed}"
     else:
-        ground_truth = _load_permutation(args.permutation, n)
+        ground_truth = GroundTruthOrder(_load_permutation(args.permutation, n))
         source = "permutation"
 
     result = harness.run_trial(n, args.strategy, ground_truth, None, model, source)
@@ -279,6 +290,8 @@ def _cmd_worst_case(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import complexity
+
     reports = complexity.comparison_table()
     rows = [{key: getattr(r, key) for key, _ in TABLE_COLUMNS} for r in reports]
     _emit(rows, args.format, table=True)

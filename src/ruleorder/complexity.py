@@ -8,9 +8,10 @@ compensated summation.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from .ordering import InvariantError, _require_int, _show
+from .common import InvariantError, _require_int, _show
 
 DAYS_PER_YEAR = 365.25
 
@@ -60,15 +61,18 @@ def binary_steps(n: int) -> int:
 def log_factorial(n: int) -> float:
     """log2(n!) as the compensated sum of log2(k) for k = 1..n.
 
-    Never materialises n! itself, so it stays cheap for large n.
+    Never materialises n! itself, so it stays cheap for large n.  The sum
+    takes n terms, so n is at most ``sys.maxsize``, as for ``naive_steps``:
+    above it the sum would never end, and ``ValueError`` is raised at once.
     """
-    _require_int(n, 1)
+    _require_int(n, 1, most=sys.maxsize)
     return math.fsum(map(math.log2, range(1, n + 1)))
 
 
 def naive_steps(n: int) -> int:
-    """Steps of brute-force enumeration over all orderings: n!, exact."""
-    _require_int(n, 1)
+    """Steps of brute-force enumeration over all orderings: n!, exact, for n
+    at most ``sys.maxsize``."""
+    _require_int(n, 1, most=sys.maxsize)
     return math.factorial(n)
 
 

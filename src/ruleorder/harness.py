@@ -13,57 +13,98 @@ presentation from the caller once and checks its rules once
 ``exhaustive_worst_case`` runs no learner: relabelling each rule as its
 rank makes every ground truth under presentation 0..n-1 the identity
 order under a permuted presentation, so it walks the tree of those
-presentations' prefixes once (``_walk``) and prices each landing from one
-table of what the flat per-query searches ask (``_landing_costs``).
+presentations' prefixes once (``worstcase._walk``) and prices each landing
+from one table of what the flat per-query searches ask
+(``worstcase._landing_costs``).
 While a wrapper replaces ``learn_order`` here or
 ``CountingOracle.precedes``, the drivers learn through ``learn_order``
 instead, so it sees every run (``_learner``), and the exhaustive search
 makes one run per ground truth.  Every driver but the exhaustive search
 checks the learned list against the ground truth.  Calls share nothing
-and can be executed in any order.
+but the exhaustive search's tables and can be executed in any order.
+
+The two worst-case drivers import ``worstcase`` on their first call
+(``_load_worstcase``), and the names this module answers for but does not
+define (``_LAZY``) load on first lookup (PEP 562), so ``learn`` loads
+neither ``worstcase``, with its dataclass, nor ``complexity``.  The drivers
+stay defined here: the benchmark's tracer wraps them by reading this
+module's ``__dict__``, which a name resolved on lookup is not in until it
+is first looked up.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
-import random
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .complexity import TABLE_SIZES, comparison_table  # noqa: F401  re-exported
-from .ordering import (
+from .common import (
     STRATEGY_BINARY,
     STRATEGY_BLOCK,
     CostModel,
-    CountingOracle,
-    GroundTruthOrder,
     IncorrectOrderError,
     InvalidPermutationError,
-    InvariantError,
-    RuleId,
     SizeLimitError,
+    _require_int,
+    _show,
+)
+from .ordering import (
+    CountingOracle,
+    GroundTruthOrder,
+    RuleId,
     _block_position,
     _learn_ranks,
     _position_finder,
-    _require_int,
     _require_rules,
-    _show,
     _shuffle,
     _STOCK_PRECEDES,
     learn_order,
 )
 
-# Full enumeration costs n! runs; this cap keeps it desk-scale.
-EXHAUSTIVE_CAP_FIXED = 8
+# The names this module answers for that other modules define, by module.
+_LAZY = {
+    "EXHAUSTIVE_CAP_FIXED": "worstcase",
+    "MODE_ADVERSARIAL": "worstcase",
+    "MODE_EXHAUSTIVE": "worstcase",
+    "WorstCaseReport": "worstcase",
+    "TABLE_SIZES": "complexity",
+    "comparison_table": "complexity",
+}
 
 # Generator recorded in summaries so identical seeds are comparable across
 # runs: Mersenne Twister driving a Fisher-Yates shuffle.  ordering._shuffle
 # makes the draws random.Random.shuffle makes, so the stream is the same.
 RNG_ALGORITHM = "mt19937-fisher-yates"
 
-MODE_EXHAUSTIVE = "exhaustive"
-MODE_ADVERSARIAL = "adversarial"
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+# The worstcase module, once the first worst-case driver call has imported
+# it.  The drivers read it here: a relative import statement in a driver's
+# body runs importlib's Python code on every call, which made each
+# adversarial_worst_case(500, "block") of block-adversarial, about 90 us
+# after the benchmark's cache-evicting reference run, some 10 us slower
+# (CPython 3.11, shared 2-vCPU x86-64).
+_worstcase = None
+
+
+def _load_worstcase():
+    global _worstcase
+    _worstcase = importlib.import_module(f"{__package__}.worstcase")
+    return _worstcase
 
 
 class TrialResult(
@@ -72,21 +113,6 @@ class TrialResult(
     """One learning run: counts, correctness, and instance provenance."""
 
     __slots__ = ()
-
-
-# A frozen dataclass, unlike the named-tuple records: the benchmark's
-# self-test changes a report with dataclasses.replace.
-@dataclass(frozen=True)
-class WorstCaseReport:
-    """Maximum step count found for one size, with an achieving instance."""
-
-    strategy: str
-    n: int
-    mode: str
-    cost_model: str
-    max_steps: int
-    ground_truth_ranks: tuple[int, ...]
-    presentation: tuple[int, ...]
 
 
 class TrialSummary(
@@ -210,72 +236,6 @@ def run_trial(
     )
 
 
-def _landing_costs(n: int, finder) -> list[list[int]]:
-    """``rows[m][p]`` for m < n: the queries ``finder``, a strategy's flat
-    per-query search (``_block_position``, ``_binary_position``), asks to
-    land a rule at p among m placed rules.  Each is counted on a
-    ``CountingOracle`` over the identity order, searching for rule p among
-    the other rules of 0..m, so the finders stay the one definition of what
-    a landing costs."""
-    oracle = CountingOracle(GroundTruthOrder.identity(n))
-    rows = []
-    for m in range(n):
-        row = []
-        for p in range(m + 1):
-            oracle.reset()
-            if finder([*range(p), *range(p + 1, m + 1)], p, oracle) != p:
-                raise InvariantError(f"rule {p} did not land at {p} of {m} placed rules")
-            row.append(oracle.query_count)
-        rows.append(row)
-    return rows
-
-
-def _walk(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
-    """The largest query count of a presentation of 0..n - 1 against the
-    identity order, n = ``len(rows)``, priced by ``rows``
-    (``_landing_costs``), and the first presentation in
-    ``itertools.permutations`` order that asks it.
-
-    A depth-first walk of the tree of presentation prefixes: at depth m the
-    rule with the k-th smallest value v of those left (k from 0) lands at
-    p = v - k among the m placed rules, since of the v values below it the
-    k smaller ones left are all that is not placed, and the walk adds
-    ``rows[m][p]`` to the prefix's count.  Values are taken in ascending
-    order, as ``itertools.permutations`` takes them, so each prefix is
-    priced once, about e * n! additions in place of n * n! landings, and
-    the presentations are reached in that order: keeping the first strict
-    maximum keeps the first presentation that attains it.  The last two
-    rules, a < b, are priced inline: a then b lands at a then b, and b then
-    a at b - 1 then a.
-    """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0], (0,)
-    best, first = -1, ()
-    path = [0] * n  # path[:m] is the prefix at depth m
-    last = rows[-1]
-    penultimate = n - 2
-
-    def walk(m: int, rest: tuple[int, ...], total: int) -> None:
-        nonlocal best, first
-        row = rows[m]
-        if m == penultimate:
-            a, b = rest
-            count = total + row[a] + last[b]
-            if count > best:
-                best, first = count, (*path[:m], a, b)
-            count = total + row[b - 1] + last[a]
-            if count > best:
-                best, first = count, (*path[:m], b, a)
-        else:
-            for k, v in enumerate(rest):
-                path[m] = v
-                walk(m + 1, rest[:k] + rest[k + 1:], total + row[v - k])
-
-    walk(0, tuple(range(n)), 0)
-    return best, first
-
-
 def exhaustive_worst_case(
     n: int,
     strategy: str,
@@ -295,20 +255,21 @@ def exhaustive_worst_case(
     ``ranks``: every query (i, j) becomes (ranks[i], ranks[j]) with the
     same answer, so it asks as many queries as the original instance.  The
     ground truths in ``itertools.permutations`` order are thus the
-    presentations in that order, which ``_walk`` prices by walking their
-    prefix tree once, from one table of landing costs built per call by
-    the strategy's flat search (``_landing_costs``); it runs no learner.
+    presentations in that order, which ``worstcase._walk`` prices by
+    walking their prefix tree once, from a table of landing costs that the
+    strategy's flat search builds once per size and strategy
+    (``worstcase._landing_costs``); it runs no learner.
     It keeps the first strict maximum in that order, so it reports the
     instance that one run per ground truth reported.  While a run could be
     watched (``_learner``), each ground truth is instead learned by
     ``learn_order`` against the identity, so a wrapper sees n! runs in the
     same order.  The strategy is checked once, up front.
     """
+    worstcase = _worstcase or _load_worstcase()
     _require_int(n, 1)
-    if n > EXHAUSTIVE_CAP_FIXED:
-        raise SizeLimitError(
-            f"exhaustive search is capped at n = {EXHAUSTIVE_CAP_FIXED}, got n = {_show(n)}"
-        )
+    cap = worstcase.EXHAUSTIVE_CAP_FIXED
+    if n > cap:
+        raise SizeLimitError(f"exhaustive search is capped at n = {cap}, got n = {_show(n)}")
 
     finder = _position_finder(strategy)  # ValueError if unknown
     _require_model(model)
@@ -322,11 +283,11 @@ def exhaustive_worst_case(
             if queries > best:
                 best, first = queries, ranks
     else:
-        best, first = _walk(_landing_costs(n, finder))
-    return WorstCaseReport(
+        best, first = worstcase._walk(worstcase._landing_costs(n, finder))
+    return worstcase.WorstCaseReport(
         strategy=strategy,
         n=n,
-        mode=MODE_EXHAUSTIVE,
+        mode=worstcase.MODE_EXHAUSTIVE,
         cost_model=model.value,
         max_steps=model.steps(best, n),
         ground_truth_ranks=first,
@@ -376,6 +337,7 @@ def adversarial_worst_case(
     list is still checked against the ground truth: a wrong one raises
     ``IncorrectOrderError``.
     """
+    worstcase = _worstcase or _load_worstcase()
     ground_truth, presentation = adversarial_ground_truth(n, strategy)
     _require_model(model)
     ranks = ground_truth.ranks
@@ -386,10 +348,10 @@ def adversarial_worst_case(
         raise IncorrectOrderError(
             f"{strategy} learned a wrong order on the adversarial instance at n = {n}"
         )
-    return WorstCaseReport(
+    return worstcase.WorstCaseReport(
         strategy=strategy,
         n=n,
-        mode=MODE_ADVERSARIAL,
+        mode=worstcase.MODE_ADVERSARIAL,
         cost_model=model.value,
         max_steps=model.steps(queries, n),
         ground_truth_ranks=ranks,
@@ -417,6 +379,8 @@ def random_trials(
     with no oracle: both are permutations built here, so neither is copied
     or checked, and the strategy is checked once, up front.
     """
+    import random  # here, so that learn --adversarial does not load it
+
     _require_int(n, 1)
     _require_int(trials, 1, "trials")
     block = _position_finder(strategy) is _block_position  # ValueError if unknown

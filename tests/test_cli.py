@@ -363,6 +363,16 @@ class TestSizesTooLargeToBuild:
     def test_short_error(self, capsys, argv):
         assert run_cli(capsys, *argv, "--n", self.N) == (1, "", self.TOO_LARGE)
 
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_predict_answers_at_once(self, fmt):
+        # log2(n!) is a sum of n terms, which at 10**20 never ended; the
+        # child runs under a timeout so that a regression fails, not hangs.
+        result = subprocess.run(
+            [sys.executable, "-m", "ruleorder", "predict", "--n", self.N, "--format", fmt],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", self.TOO_LARGE)
+
     OUT_OF_MEMORY = "error: out of memory; try a smaller --n\n"
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +168,13 @@ class TestNaiveSteps:
 
     def test_exceeds_64_bit_range_at_27(self):
         assert naive_steps(27) > 2**63
+
+    @pytest.mark.parametrize("predictor", [naive_steps, log_factorial])
+    def test_rejects_more_terms_than_a_sequence_holds(self, predictor):
+        # Both take n terms; above sys.maxsize, log_factorial's sum never ended.
+        message = f"^n must be at most {sys.maxsize}, got {sys.maxsize + 1}$"
+        with pytest.raises(ValueError, match=message):
+            predictor(sys.maxsize + 1)
 
     def test_rejects_zero(self):
         for n in (0, 2.5, True):

@@ -27,6 +27,7 @@ from ruleorder import (
     comparison_table,
     learn_order,
     run_trial,
+    worstcase,
 )
 from ruleorder.ordering import _learn_ranks, _position_finder
 
@@ -347,8 +348,8 @@ class TestExhaustiveWorstCase:
             queries = _learn_ranks(ranks, identity, strategy == "block")[1]
             if queries > best:
                 best, first = queries, ranks
-        rows = harness._landing_costs(n, _position_finder(strategy))
-        assert harness._walk(rows) == (best, first)
+        rows = worstcase._landing_costs(n, _position_finder(strategy))
+        assert worstcase._walk(rows) == (best, first)
         for model in CostModel:
             report = exhaustive_worst_case(n, strategy, model)
             assert (report.max_steps, report.ground_truth_ranks, report.presentation) == (
@@ -362,7 +363,7 @@ class TestExhaustiveWorstCase:
         # orders so that every branch of the core is taken, costs the core
         # rows[m][p] more than placing those m rules alone.
         block = strategy == "block"
-        rows = harness._landing_costs(8, _position_finder(strategy))
+        rows = worstcase._landing_costs(8, _position_finder(strategy))
         assert [len(row) for row in rows] == list(range(1, 9))
         rng = random.Random(1)
         for m in range(8):
@@ -383,7 +384,7 @@ class TestExhaustiveWorstCase:
             ("block", block_steps_exact(n) - (n - 1)),
             ("binary", binary_steps(n)),
         ):
-            rows = harness._landing_costs(n, _position_finder(strategy))
+            rows = worstcase._landing_costs(n, _position_finder(strategy))
             assert sum(map(max, rows)) == exhaustive_worst_case(n, strategy).max_steps
             assert sum(map(max, rows)) == closed_form
 
@@ -495,8 +496,8 @@ class TestAdversarialGroundTruth:
 
         monkeypatch.setattr(harness, "_learn_ranks", no_run)
         monkeypatch.setattr(harness, "learn_order", no_run)
-        monkeypatch.setattr(harness, "_landing_costs", no_run)
-        monkeypatch.setattr(harness, "_walk", no_run)
+        monkeypatch.setattr(worstcase, "_landing_costs", no_run)
+        monkeypatch.setattr(worstcase, "_walk", no_run)
         monkeypatch.setattr(harness.GroundTruthOrder, "shuffled", no_run)
         with pytest.raises(ValueError) as ordering_error:
             learn_order([0], CountingOracle(GroundTruthOrder.identity(1)), strategy)
@@ -531,8 +532,8 @@ class TestAdversarialGroundTruth:
 
         monkeypatch.setattr(harness, "_learn_ranks", no_run)
         monkeypatch.setattr(harness, "learn_order", no_run)
-        monkeypatch.setattr(harness, "_landing_costs", no_run)
-        monkeypatch.setattr(harness, "_walk", no_run)
+        monkeypatch.setattr(worstcase, "_landing_costs", no_run)
+        monkeypatch.setattr(worstcase, "_walk", no_run)
         with pytest.raises(TypeError) as error:
             driver(model)
         assert str(error.value) == f"model must be a CostModel, got {model!r}"

@@ -3,9 +3,13 @@
 For each command group it runs ``python -m ruleorder ...`` and a bare
 ``python -c pass`` in alternating order, times each from spawn to exit, and
 prints the median over rounds of the command's time minus the bare
-interpreter's.  Then, from the fastest of five runs of
-``python -S -X importtime -c "import ruleorder.cli"``, it lists the modules
-that spend the most time of their own.
+interpreter's.  Then, for each group, it lists the ruleorder modules that
+one run of the command loads, each with its own import time: the self
+time of its line under ``python -S -X importtime -c "import <module>"``,
+the fastest of five fresh runs per module.  Each module is timed on its
+own because ``-X importtime`` does not time a module loaded by ``from .
+import x`` or by a PEP 562 hook (``harness``'s lazy names), so a run of
+the command alone would charge those modules to the one that loaded them.
 
 Run it from anywhere in a checkout (standard library only):
 
@@ -21,6 +25,7 @@ says which case was measured.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import statistics
 import subprocess
@@ -38,7 +43,21 @@ GROUPS = {
     "worst-case": ["worst-case", "--mode", "adversarial", "--n", "27", "--strategy", "block"],
 }
 BARE = "python -c pass"
-TOP = 12  # modules listed from the import-time run
+IMPORT_RUNS = 5  # fresh -X importtime runs per module, of which the fastest counts
+
+# Run in a fresh ``python -S`` by ``loaded_modules``: prints the modules one
+# command loads, sends the command's own output to os.devnull and exits
+# with its code.
+_LOADS = """
+import sys
+before = set(sys.modules)
+from ruleorder import cli
+out, sys.stdout = sys.stdout, open("{devnull}", "w")
+code = cli.main({argv!r})
+sys.stdout = out
+print(sorted(set(sys.modules) - before))
+sys.exit(code)
+"""
 
 
 def _env() -> dict[str, str]:
@@ -76,19 +95,30 @@ def startup_ms(rounds: int) -> dict[str, list[float]]:
     return excess
 
 
-def import_times(module: str = "ruleorder.cli") -> list[tuple[int, int, str]]:
-    """(self us, cumulative us, name) of every module ``import module`` loads
-    under ``python -S -X importtime``, in import order."""
+def loaded_modules(argv: list[str]) -> list[str]:
+    """The modules that ``ruleorder *argv`` loads, in a fresh ``python -S``,
+    beyond those the bare interpreter holds."""
+    script = _LOADS.format(devnull=os.devnull, argv=argv)
     done = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-c", f"import {module}"],
-        env=_env(), capture_output=True, text=True, check=True,
+        [sys.executable, "-S", "-c", script], env=_env(), capture_output=True, text=True, check=True
     )
-    rows = []
-    for line in done.stderr.splitlines():
-        fields = line.removeprefix("import time:").split("|")
-        if len(fields) == 3 and fields[0].strip().isdigit():
-            rows.append((int(fields[0]), int(fields[1]), fields[2].strip()))
-    return rows
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def import_ms(module: str) -> float:
+    """The self time, in ms, of ``module``'s line under ``python -S -X
+    importtime -c "import module"``, the fastest of ``IMPORT_RUNS`` runs."""
+    times = []
+    for _ in range(IMPORT_RUNS):
+        done = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-c", f"import {module}"],
+            env=_env(), capture_output=True, text=True, check=True,
+        )
+        for line in done.stderr.splitlines():
+            fields = line.removeprefix("import time:").split("|")
+            if len(fields) == 3 and fields[2].strip() == module:
+                times.append(int(fields[0]) / 1e3)
+    return min(times)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,15 +135,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {group:<10} {statistics.median(values):7.1f}"
               f"  ({min(values):.1f}, {max(values):.1f})")
 
-    runs = [import_times() for _ in range(5)]
-    total, rows = min(
-        (next(cumulative for _, cumulative, name in rows if name == "ruleorder.cli"), rows)
-        for rows in runs
-    )
-    print(f"import ruleorder.cli under -S, fastest of {len(runs)}: {total / 1e3:.1f} ms"
-          f" cumulative; the {TOP} slowest modules by self time, ms:")
-    for own, cumulative, name in sorted(rows, reverse=True)[:TOP]:
-        print(f"  {own / 1e3:7.2f} self {cumulative / 1e3:7.2f} cumulative  {name}")
+    loads = {group: loaded_modules(argv) for group, argv in GROUPS.items()}
+    ours = sorted({m for modules in loads.values() for m in modules if m.split(".")[0] == "ruleorder"})
+    own = {module: import_ms(module) for module in ours}
+    print(f"ruleorder modules each group loads, own import time in ms (fastest of"
+          f" {IMPORT_RUNS} fresh imports under -S -X importtime): the sum, then each")
+    for group, modules in loads.items():
+        mine = [m for m in modules if m in own]
+        listed = ", ".join(f"{m.removeprefix('ruleorder.')} {own[m]:.2f}" for m in mine)
+        print(f"  {group:<10} {sum(own[m] for m in mine):5.1f}  {listed}"
+              f"  ({len(modules)} modules in all)")
     return 0
 
 
