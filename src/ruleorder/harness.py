@@ -12,10 +12,10 @@ presentation from the caller once and checks its rules once
 (``_require_rules``), then learns it through the same core.
 ``exhaustive_worst_case`` runs no learner: relabelling each rule as its
 rank makes every ground truth under presentation 0..n-1 the identity
-order under a permuted presentation, so it walks the tree of those
-presentations' prefixes once (``worstcase._walk``) and prices each landing
-from one table of what the flat per-query searches ask
-(``worstcase._landing_costs``).
+order under a permuted presentation, and ``worstcase._walk`` finds the
+first of those that lands every rule where it costs most in one table of
+what the flat per-query searches ask (``worstcase._landing_costs``),
+without pricing all n! of them.
 While a wrapper replaces ``learn_order`` here or
 ``CountingOracle.precedes``, the drivers learn through ``learn_order``
 instead, so it sees every run (``_learner``), and the exhaustive search
@@ -255,12 +255,13 @@ def exhaustive_worst_case(
     ``ranks``: every query (i, j) becomes (ranks[i], ranks[j]) with the
     same answer, so it asks as many queries as the original instance.  The
     ground truths in ``itertools.permutations`` order are thus the
-    presentations in that order, which ``worstcase._walk`` prices by
-    walking their prefix tree once, from a table of landing costs that the
-    strategy's flat search builds once per size and strategy
-    (``worstcase._landing_costs``); it runs no learner.
-    It keeps the first strict maximum in that order, so it reports the
-    instance that one run per ground truth reported.  While a run could be
+    presentations in that order.  Every landing sequence belongs to
+    exactly one presentation, so the maximum is the sum of each row's
+    largest cost in a table the strategy's flat search builds once per size
+    and strategy (``worstcase._landing_costs``), and ``worstcase._walk``
+    searches only such landings, in that order, for the first presentation
+    that attains it, the instance one run per ground truth reported; it
+    runs no learner.  While a run could be
     watched (``_learner``), each ground truth is instead learned by
     ``learn_order`` against the identity, so a wrapper sees n! runs in the
     same order.  The strategy is checked once, up front.
@@ -371,6 +372,8 @@ def random_trials(
 
     The same seed always yields the same summary; ground truths (and, when
     requested, presentation orders) are drawn from one deterministic stream.
+    ``seed`` must be an int >= 0, the one seed that reproduces the counts:
+    ``None`` would draw from the OS, and -3 gives 3's stream.
     The summary counts the queries, which no cost model changes.
     ``shuffle_presentation`` is keyword-only: a stray fifth positional
     argument fails instead of turning shuffling on.
@@ -383,6 +386,7 @@ def random_trials(
 
     _require_int(n, 1)
     _require_int(trials, 1, "trials")
+    _require_int(seed, 0, "seed")
     block = _position_finder(strategy) is _block_position  # ValueError if unknown
     learn = _learner()
 

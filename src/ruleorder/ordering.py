@@ -297,7 +297,7 @@ _POSITION_FINDERS: dict[str, Callable[..., int]] = {
 def _position_finder(strategy: str):
     try:
         return _POSITION_FINDERS[strategy]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable strategy
         raise ValueError(
             f"unknown strategy {_show(strategy)} (choose from: {', '.join(STRATEGIES)})"
         ) from None

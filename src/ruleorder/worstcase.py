@@ -1,4 +1,8 @@
-"""Worst-case reports and the exhaustive search's pricing.
+"""Worst-case reports and the exhaustive search.
+
+The exhaustive maximum is the sum of each insertion's worst landing cost,
+read off one table of landing costs (``_landing_costs``); ``_walk`` adds
+the first presentation that attains it, searching only worst landings.
 
 ``harness.exhaustive_worst_case`` and ``harness.adversarial_worst_case``
 import this module when they run, and ``harness`` resolves its public names
@@ -37,8 +41,8 @@ class WorstCaseReport:
 
 
 # One table per size and strategy the exhaustive search takes: at most
-# 2 * EXHAUSTIVE_CAP_FIXED tables of at most 36 ints.  Building one took
-# 11-22% of a search at n = 6 when every call built its own.
+# 2 * EXHAUSTIVE_CAP_FIXED tables of at most 36 ints.  Building one takes
+# 2-7 times as long as the search over it.
 @lru_cache(maxsize=2 * EXHAUSTIVE_CAP_FIXED)
 def _landing_costs(n: int, finder) -> tuple[tuple[int, ...], ...]:
     """``rows[m][p]`` for m < n: the queries ``finder``, a strategy's flat
@@ -67,41 +71,30 @@ def _walk(rows) -> tuple[int, tuple[int, ...]]:
     (``_landing_costs``), and the first presentation in
     ``itertools.permutations`` order that asks it.
 
-    A depth-first walk of the tree of presentation prefixes: at depth m the
-    rule with the k-th smallest value v of those left (k from 0) lands at
-    p = v - k among the m placed rules, since of the v values below it the
-    k smaller ones left are all that is not placed, and the walk adds
-    ``rows[m][p]`` to the prefix's count.  Values are taken in ascending
-    order, as ``itertools.permutations`` takes them, so each prefix is
-    priced once, about e * n! additions in place of n * n! landings, and
-    the presentations are reached in that order: keeping the first strict
-    maximum keeps the first presentation that attains it.  The last two
-    rules, a < b, are priced inline: a then b lands at a then b, and b then
-    a at b - 1 then a.
+    Each landing sequence, p_m in 0..m for every m, is the landing sequence
+    of exactly one presentation (the inversion table, TAOCP vol. 3, 5.1.1),
+    so the largest count is ``sum(map(max, rows))``, attained by exactly
+    the presentations that land every rule where its row is largest.  A
+    depth-first search finds the first of them: at depth m the rule with
+    the k-th smallest value v of those left (k from 0) lands at p = v - k
+    among the m placed rules, since of the v values below it the k smaller
+    ones left are all that is not placed, and the search follows it only if
+    ``rows[m][p]`` is its row's maximum.  Values are taken in ascending
+    order, as ``itertools.permutations`` takes them, so the first complete
+    path is the first presentation.  It visits a few dozen nodes at n = 8,
+    not all n! presentations.
     """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0], (0,)
-    best, first = -1, ()
-    path = [0] * n  # path[:m] is the prefix at depth m
-    last = rows[-1]
-    penultimate = n - 2
+    worst = [max(row) for row in rows]
 
-    def walk(m: int, rest: tuple[int, ...], total: int) -> None:
-        nonlocal best, first
-        row = rows[m]
-        if m == penultimate:
-            a, b = rest
-            count = total + row[a] + last[b]
-            if count > best:
-                best, first = count, (*path[:m], a, b)
-            count = total + row[b - 1] + last[a]
-            if count > best:
-                best, first = count, (*path[:m], b, a)
-        else:
-            for k, v in enumerate(rest):
-                path[m] = v
-                walk(m + 1, rest[:k] + rest[k + 1:], total + row[v - k])
+    def first(m: int, rest: tuple[int, ...]) -> tuple[int, ...] | None:
+        if not rest:
+            return ()
+        row, most = rows[m], worst[m]
+        for k, v in enumerate(rest):
+            if row[v - k] == most:
+                tail = first(m + 1, rest[:k] + rest[k + 1:])
+                if tail is not None:
+                    return (v, *tail)
+        return None
 
-    walk(0, tuple(range(n)), 0)
-    return best, first
+    return sum(worst), first(0, tuple(range(len(rows))))

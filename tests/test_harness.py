@@ -1,8 +1,10 @@
 import itertools
 import json
+import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from oracles import true_sequence_by_sort
@@ -321,7 +323,7 @@ class TestExhaustiveWorstCase:
     @pytest.mark.parametrize("strategy", ["block", "binary"])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_learns_once_per_ground_truth_only_while_watched(self, n, strategy, monkeypatch):
-        # Unwatched, the search walks the prefix tree and learns nothing:
+        # Unwatched, the search reads the landing table and learns nothing:
         # no core call and no learn_order call.  While learn_order is
         # wrapped, it makes one learn_order call per ground truth, against
         # the identity order, in itertools.permutations order, and reports
@@ -387,6 +389,38 @@ class TestExhaustiveWorstCase:
             rows = worstcase._landing_costs(n, _position_finder(strategy))
             assert sum(map(max, rows)) == exhaustive_worst_case(n, strategy).max_steps
             assert sum(map(max, rows)) == closed_form
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_the_mean_is_the_sum_of_each_insertions_mean_landing(self, n, strategy):
+        # Over all ground truths each landing position is uniform and
+        # independent of the others, so the exact mean of one core run per
+        # ground truth is the sum of the rows' means.
+        identity = tuple(range(n))
+        counts = [_learn_ranks(identity, ranks, strategy == "block")[1]
+                  for ranks in itertools.permutations(identity)]
+        rows = worstcase._landing_costs(n, _position_finder(strategy))
+        assert Fraction(sum(counts), len(counts)) == sum(
+            Fraction(sum(row), len(row)) for row in rows
+        )
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    def test_random_trials_mean_is_within_four_standard_errors_of_the_exact_mean(
+        self, strategy
+    ):
+        # The sample mean at n = 27 (z = -2.2 for block, +1.9 for binary)
+        # against the exact mean and variance from the landing table; a 2%
+        # drift in the core's counts reads z of about 7 (block) or 41 (binary).
+        rows = worstcase._landing_costs(27, _position_finder(strategy))
+        means = [Fraction(sum(row), len(row)) for row in rows]
+        variance = sum(
+            Fraction(sum(x * x for x in row), len(row)) - mean**2
+            for row, mean in zip(rows, means)
+        )
+        trials = 2000
+        summary = random_trials(27, strategy, trials, seed=1)
+        standard_error = math.sqrt(variance / trials)
+        assert abs(summary.mean_queries - sum(means)) <= 4 * standard_error
 
     @pytest.mark.parametrize(
         "strategy, ground_truth",
@@ -487,7 +521,7 @@ class TestAdversarialGroundTruth:
             "unknown strategy 'bogus' (choose from: block, binary)"
         )
 
-    @pytest.mark.parametrize("strategy", ["bogus", "Block", "", None, "x" * 10**6])
+    @pytest.mark.parametrize("strategy", ["bogus", "Block", "", None, "x" * 10**6, []])
     def test_drivers_reject_an_unknown_strategy_before_any_run(self, strategy, monkeypatch):
         # The drivers pass the core a flag, not the name, so the name must be
         # checked up front: "bogus" must not run as binary.
@@ -506,6 +540,7 @@ class TestAdversarialGroundTruth:
             lambda: random_trials(27, strategy, 100, seed=1),
             lambda: random_trials(27, strategy, 100, seed=1, shuffle_presentation=True),
             lambda: adversarial_worst_case(8, strategy),
+            lambda: adversarial_ground_truth(8, strategy),
             lambda: run_trial(8, strategy, GroundTruthOrder.identity(8)),
         ):
             with pytest.raises(ValueError) as driver_error:
@@ -654,6 +689,19 @@ class TestRandomTrials:
     def test_rejects_zero_rules(self):
         with pytest.raises(ValueError):
             random_trials(0, "block", 5, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, -3, True, 1.5, "1"])
+    def test_rejects_a_seed_it_could_not_record_before_any_run(self, seed, monkeypatch):
+        # None drew from the OS and -3 gave 3's counts, so the recorded seed
+        # did not reproduce the summary.
+        def no_run(*args):
+            raise AssertionError("ran with a bad seed")
+
+        monkeypatch.setattr(harness, "_learn_ranks", no_run)
+        monkeypatch.setattr(harness.GroundTruthOrder, "shuffled", no_run)
+        with pytest.raises(ValueError) as error:
+            random_trials(5, "block", 3, seed)
+        assert str(error.value) == f"seed must be a non-negative integer, got {seed!r}"
 
     @pytest.mark.parametrize(
         "strategy, pinned",

@@ -426,6 +426,12 @@ class TestLearnOrder:
         with pytest.raises(ValueError):
             learn_order([0, 1], oracle, "bogus")
 
+    def test_unhashable_strategy_rejected_as_unknown(self):
+        oracle = oracle_for([0, 1])
+        with pytest.raises(ValueError) as error:
+            learn_order([0, 1], oracle, ["block"])
+        assert str(error.value) == "unknown strategy ['block'] (choose from: block, binary)"
+
     def test_unknown_strategy_message_is_short(self):
         oracle = oracle_for([0, 1])
         with pytest.raises(ValueError) as error:

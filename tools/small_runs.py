@@ -4,7 +4,7 @@ The ``harness-small-n`` benchmark workload makes thousands of tiny runs, so
 fixed costs per run decide its time.  This prints the best-of-rounds time
 per call, in microseconds, of each layer such a run goes through, at
 n = 6 (the exhaustive search's size; the search itself runs these layers
-only while a run is watched, and otherwise walks its prefix tree) and
+only while a run is watched, and otherwise searches its worst landings) and
 n = 27 (the random trials), for both strategies:
 
 - ``learn_order`` on a plain counting oracle, with its full rule check;
