@@ -25,7 +25,6 @@ _EXPORTS = {
         "InvariantError",
         "OrderingError",
         "SizeLimitError",
-        "UnsortedSequenceError",
     ),
     "complexity": (
         "ComplexityReport",
@@ -53,8 +52,6 @@ _EXPORTS = {
         "CountingOracle",
         "GroundTruthOrder",
         "RuleId",
-        "binary_insert",
-        "block_insert",
         "learn_order",
     ),
     "worstcase": ("WorstCaseReport",),

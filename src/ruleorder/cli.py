@@ -252,6 +252,8 @@ def _cmd_learn(args) -> int:
     elif args.seed is not None:
         import random
 
+        # random.Random seeds with abs(seed), so -3 would learn 3's instance.
+        _require_int(args.seed, 0, "--seed")
         ground_truth = GroundTruthOrder.shuffled(n, random.Random(args.seed))
         source = f"seed={args.seed}"
     else:

@@ -42,10 +42,6 @@ class SizeLimitError(OrderingError):
     """An exhaustive search was requested above its factorial-cost cap."""
 
 
-class UnsortedSequenceError(OrderingError):
-    """A sequence passed in as sorted by hidden rank is not."""
-
-
 class InvariantError(OrderingError):
     """An internal invariant failed: a defect in this package, not bad input."""
 

@@ -40,7 +40,6 @@ import math
 from collections import namedtuple
 
 from .common import (
-    STRATEGY_BINARY,
     STRATEGY_BLOCK,
     CostModel,
     IncorrectOrderError,
@@ -53,7 +52,6 @@ from .ordering import (
     CountingOracle,
     GroundTruthOrder,
     RuleId,
-    _block_position,
     _learn_ranks,
     _position_finder,
     _require_rules,
@@ -174,12 +172,12 @@ def _learner():
 
 
 def _learn_watched(
-    rules, ranks: tuple[int, ...], block: bool
+    rules, ranks: tuple[int, ...], strategy: str
 ) -> tuple[list[RuleId], int]:
-    """``_learn_ranks(rules, ranks, block)`` through ``learn_order`` and a
+    """``_learn_ranks(rules, ranks, strategy)`` through ``learn_order`` and a
     counting oracle of its own."""
     oracle = CountingOracle(GroundTruthOrder._built(ranks))
-    learned = learn_order(rules, oracle, STRATEGY_BLOCK if block else STRATEGY_BINARY)
+    learned = learn_order(rules, oracle, strategy)
     return learned, oracle.query_count
 
 
@@ -212,14 +210,14 @@ def run_trial(
         presentation = tuple(presentation_order)
         if len(presentation) != n:
             raise InvalidPermutationError(f"presentation has {len(presentation)} rules, not {n}")
-    block = _position_finder(strategy) is _block_position  # ValueError if unknown
+    _position_finder(strategy)  # ValueError if unknown
     ranks = ground_truth.ranks
     if presentation_order is None:
         presentation = _ranks_in_order(ranks)
     else:
         _require_rules(presentation, n)  # n distinct rules are a permutation
     _require_model(model)
-    learned, queries = _learner()(presentation, ranks, block)
+    learned, queries = _learner()(presentation, ranks, strategy)
     # 0..n - 1 is what the learned rules' ranks must read.  With a caller's
     # presentation it is read off the ranks after the core, whose pass over
     # them leaves their ints in cache: read before the core, run_trial on
@@ -272,19 +270,18 @@ def exhaustive_worst_case(
     if n > cap:
         raise SizeLimitError(f"exhaustive search is capped at n = {cap}, got n = {_show(n)}")
 
-    finder = _position_finder(strategy)  # ValueError if unknown
+    _position_finder(strategy)  # ValueError if unknown
     _require_model(model)
     identity = tuple(range(n))
     learn = _learner()
     if learn is _learn_watched:  # one run per ground truth, for the wrapper
-        block = finder is _block_position
         best, first = -1, ()
         for ranks in itertools.permutations(identity):
-            queries = learn(ranks, identity, block)[1]
+            queries = learn(ranks, identity, strategy)[1]
             if queries > best:
                 best, first = queries, ranks
     else:
-        best, first = worstcase._walk(worstcase._landing_costs(n, finder))
+        best, first = worstcase._walk(worstcase._landing_costs(n, strategy))
     return worstcase.WorstCaseReport(
         strategy=strategy,
         n=n,
@@ -342,7 +339,7 @@ def adversarial_worst_case(
     ground_truth, presentation = adversarial_ground_truth(n, strategy)
     _require_model(model)
     ranks = ground_truth.ranks
-    learned, queries = _learner()(presentation, ranks, strategy == STRATEGY_BLOCK)
+    learned, queries = _learner()(presentation, ranks, strategy)
     # Both presentations are 0..n - 1 in order, what the learned rules'
     # ranks must read.
     if not _learned_in_rank_order(learned, ranks, presentation):
@@ -378,7 +375,7 @@ def random_trials(
     ``shuffle_presentation`` is keyword-only: a stray fifth positional
     argument fails instead of turning shuffling on.
 
-    Each trial is learned by ``_learn_ranks(presentation, ranks, block)``,
+    Each trial is learned by ``_learn_ranks(presentation, ranks, strategy)``,
     with no oracle: both are permutations built here, so neither is copied
     or checked, and the strategy is checked once, up front.
     """
@@ -387,7 +384,7 @@ def random_trials(
     _require_int(n, 1)
     _require_int(trials, 1, "trials")
     _require_int(seed, 0, "seed")
-    block = _position_finder(strategy) is _block_position  # ValueError if unknown
+    _position_finder(strategy)  # ValueError if unknown
     learn = _learner()
 
     # 0..n - 1, built by the factory, which rejects an n too large to build.
@@ -401,7 +398,7 @@ def random_trials(
         if shuffle_presentation:
             presentation = in_order.copy()
             _shuffle(presentation, rng)
-        learned, queries = learn(presentation, ranks, block)
+        learned, queries = learn(presentation, ranks, strategy)
         counts.append(queries)
         all_correct = all_correct and _learned_in_rank_order(learned, ranks, in_order)
     return TrialSummary(

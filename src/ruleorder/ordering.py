@@ -33,7 +33,6 @@ from .common import (  # noqa: F401  re-exported
     InvariantError,
     OrderingError,
     SizeLimitError,
-    UnsortedSequenceError,
     _require_int,
     _show,
 )
@@ -202,9 +201,8 @@ class CountingOracle:
     ``precedes`` is this class's own, not replaced on a subclass, on the
     class or on the instance), ``learn_order`` calls no ``precedes`` and
     adds to ``query_count`` the queries the strategy's search would have
-    asked.  Otherwise, and always in ``block_insert`` and ``binary_insert``,
-    every query goes through ``self.precedes``, so transcripts and wrapped
-    or overridden ``precedes`` see each one.
+    asked.  Otherwise every query goes through ``self.precedes``, so
+    transcripts and wrapped or overridden ``precedes`` see each one.
     """
 
     # No __slots__: an instance may replace its own ``precedes``.
@@ -303,46 +301,6 @@ def _position_finder(strategy: str):
         ) from None
 
 
-def _is_sorted_by_rank(seq: Sequence[RuleId], order: GroundTruthOrder) -> bool:
-    ranks = order.ranks
-    return all(ranks[seq[i]] < ranks[seq[i + 1]] for i in range(len(seq) - 1))
-
-
-def _checked_insert(seq, x, oracle, strategy):
-    out = list(seq)
-    # _is_sorted_by_rank reads every rank unchecked, and a block scan that
-    # stops early never queries a rule further on, so every rule is checked
-    # here, as precedes would check it.
-    _require_rules((x, *out), oracle.order.n)
-    if not _is_sorted_by_rank(out, oracle.order):
-        raise UnsortedSequenceError("input sequence not sorted by rank")
-    out.insert(_POSITION_FINDERS[strategy](out, x, oracle), x)
-    return out
-
-
-def block_insert(
-    seq: Sequence[RuleId], x: RuleId, oracle: CountingOracle
-) -> list[RuleId]:
-    """Insert ``x`` into a rank-sorted sequence by linear scan from the front.
-
-    Queries the oracle once per scanned position and stops at the first
-    accepting one, so inserting into i rules costs between 1 and i queries
-    (0 for an empty sequence).  Returns a new list; ``seq`` is unchanged.
-    """
-    return _checked_insert(seq, x, oracle, STRATEGY_BLOCK)
-
-
-def binary_insert(
-    seq: Sequence[RuleId], x: RuleId, oracle: CountingOracle
-) -> list[RuleId]:
-    """Insert ``x`` into a rank-sorted sequence by binary search.
-
-    Inserting into m rules costs at most ceil(log2(m + 1)) queries and,
-    for m >= 1, at least floor(log2(m + 1)).  Returns a new list.
-    """
-    return _checked_insert(seq, x, oracle, STRATEGY_BINARY)
-
-
 def learn_order(
     universe: Iterable[RuleId], oracle: CountingOracle, strategy: str
 ) -> list[RuleId]:
@@ -391,23 +349,24 @@ def learn_order(
         # Rank a strict subset among itself, so the core runs over ranks
         # 0..len(rules) - 1.
         ranks = {x: i for i, x in enumerate(sorted(rules, key=ranks.__getitem__))}
-    learned, queries = _learn_ranks(rules, ranks, strategy == STRATEGY_BLOCK)
+    learned, queries = _learn_ranks(rules, ranks, strategy)
     oracle.query_count += queries
     return learned
 
 
 def _learn_ranks(
-    rules: Sequence[RuleId], ranks, block: bool
+    rules: Sequence[RuleId], ranks, strategy: str
 ) -> tuple[list[RuleId], int]:
     """The batched learner: ``(learned, queries)`` for ``rules`` presented in
-    this order, block's scan if ``block`` is true and binary's halving
-    search if not, asking no oracle.
+    this order, block's scan for ``STRATEGY_BLOCK`` and binary's halving
+    search for any other name, asking no oracle.
 
-    The caller guarantees the contract, which is not checked: ``rules`` is
-    not empty, and ``ranks[x]`` (a sequence or a mapping) maps the rules
-    one to one onto 0..len(rules) - 1.  ``learn_order`` checks rules from
-    outside before it calls this; the harness drivers call it directly on
-    permutations they built themselves, with no copy and no rule check.
+    The caller guarantees the contract, which is not checked: ``strategy``
+    is a name ``_position_finder`` accepts, ``rules`` is not empty, and
+    ``ranks[x]`` (a sequence or a mapping) maps the rules one to one onto
+    0..len(rules) - 1.  ``learn_order`` checks rules from outside before it
+    calls this; the harness drivers call it directly on permutations they
+    built themselves, with no copy and no rule check.
 
     Each rule is charged what the strategy's flat search would have asked
     to land where the rule belongs among the m rules placed so far.  A rule
@@ -437,6 +396,7 @@ def _learn_ranks(
     rule lands it is stored in the slot of a list of k that its rank
     names, with no closing sort.
     """
+    block = strategy == STRATEGY_BLOCK
     width = _CHUNK
     size = (len(rules) - 1) // width + 1
     # A bucket's list is made when its first middle rank lands.  Making

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .common import InvariantError
-from .ordering import CountingOracle, GroundTruthOrder
+from .ordering import CountingOracle, GroundTruthOrder, _position_finder
 
-# Full enumeration costs n! runs; this cap keeps it desk-scale.
+# The search visits at most 29 nodes at n = 8, but a run watched by a
+# wrapper (``harness._learner``) learns each of the n! ground truths, and so
+# does the tests' cross-check of the search; this cap keeps those desk-scale.
 EXHAUSTIVE_CAP_FIXED = 8
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -44,14 +46,15 @@ class WorstCaseReport:
 # 2 * EXHAUSTIVE_CAP_FIXED tables of at most 36 ints.  Building one takes
 # 2-7 times as long as the search over it.
 @lru_cache(maxsize=2 * EXHAUSTIVE_CAP_FIXED)
-def _landing_costs(n: int, finder) -> tuple[tuple[int, ...], ...]:
-    """``rows[m][p]`` for m < n: the queries ``finder``, a strategy's flat
-    per-query search (``_block_position``, ``_binary_position``), asks to
-    land a rule at p among m placed rules.  Each is counted on a
-    ``CountingOracle`` over the identity order, searching for rule p among
-    the other rules of 0..m, so the finders stay the one definition of what
-    a landing costs.  The table is built once per (n, finder) and shared,
-    so it is made of tuples."""
+def _landing_costs(n: int, strategy: str) -> tuple[tuple[int, ...], ...]:
+    """``rows[m][p]`` for m < n: the queries the strategy's flat per-query
+    search (``_block_position``, ``_binary_position``) asks to land a rule
+    at p among m placed rules.  Each is counted on a ``CountingOracle``
+    over the identity order, searching for rule p among the other rules of
+    0..m, so the finders stay the one definition of what a landing costs.
+    The table is built once per (n, strategy) and shared, so it is made of
+    tuples."""
+    finder = _position_finder(strategy)
     oracle = CountingOracle(GroundTruthOrder.identity(n))
     rows = []
     for m in range(n):

@@ -316,6 +316,17 @@ class TestLearn:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_negative_seed_is_one_short_error(self, capsys):
+        # random.Random seeds with abs(seed): -3 would learn 3's instance
+        # under the label seed=-3.
+        argv = ("learn", "--n", "3", "--strategy", "block", "--format", "json")
+        assert run_cli(capsys, *argv, "--seed", "-3") == (
+            1, "", "error: --seed must be a non-negative integer, got -3\n"
+        )
+        code, out, err = run_cli(capsys, *argv, "--seed", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["source"] == "seed=0"
+
     def test_csv_json_round_trip(self, capsys):
         assert_csv_json_agree(
             capsys, "learn", "--n", "12", "--strategy", "block", "--seed", "3",
@@ -326,7 +337,7 @@ class TestLearn:
     )
     def test_wrong_core_prints_row_then_exits_2(self, capsys, monkeypatch, instance):
         # Every learn mode presents 0..n-1 and learns through the core.
-        monkeypatch.setattr(harness, "_learn_ranks", lambda rules, ranks, block: ([0] * 3, 3))
+        monkeypatch.setattr(harness, "_learn_ranks", lambda rules, ranks, strategy: ([0] * 3, 3))
         code, out, err = run_cli(
             capsys, "learn", "--n", "3", "--strategy", "block", *instance, "--format", "json",
         )
@@ -497,7 +508,7 @@ class TestWorstCase:
         self, capsys, monkeypatch, strategy
     ):
         # Unwatched, the adversarial run learns through the core.
-        monkeypatch.setattr(harness, "_learn_ranks", lambda rules, ranks, block: ([0] * 3, 3))
+        monkeypatch.setattr(harness, "_learn_ranks", lambda rules, ranks, strategy: ([0] * 3, 3))
         code, _, err = run_cli(
             capsys, "worst-case", "--n", "3", "--strategy", strategy, "--mode", "adversarial",
         )

@@ -31,7 +31,7 @@ from ruleorder import (
     run_trial,
     worstcase,
 )
-from ruleorder.ordering import _learn_ranks, _position_finder
+from ruleorder.ordering import _learn_ranks
 
 PLACEMENT = CostModel.COMPARISONS_PLUS_PLACEMENT
 
@@ -153,8 +153,8 @@ class TestPackageBuiltRoutes:
         core_calls, learn_calls = self.counting(monkeypatch)
         assert self.ROUTES[route](n, strategy) == expected
         assert learn_calls == []
-        ((rules, ranks, block),) = core_calls
-        assert (list(rules), block) == (list(range(n)), strategy == "block")
+        ((rules, ranks, name),) = core_calls
+        assert (list(rules), name) == (list(range(n)), strategy)
         assert type(ranks) is tuple and sorted(ranks) == list(range(n))
 
     @pytest.mark.parametrize("route", ROUTES)
@@ -253,8 +253,8 @@ class TestPackageBuiltRoutes:
         }[order]
         runs = []
 
-        def core(rules, ranks, block):
-            learned, queries = _learn_ranks(rules, ranks, block)
+        def core(rules, ranks, name):
+            learned, queries = _learn_ranks(rules, ranks, name)
             runs.append((rules, learned))
             return learned, queries
 
@@ -347,10 +347,10 @@ class TestExhaustiveWorstCase:
         identity = tuple(range(n))
         best, first = -1, None
         for ranks in itertools.permutations(identity):
-            queries = _learn_ranks(ranks, identity, strategy == "block")[1]
+            queries = _learn_ranks(ranks, identity, strategy)[1]
             if queries > best:
                 best, first = queries, ranks
-        rows = worstcase._landing_costs(n, _position_finder(strategy))
+        rows = worstcase._landing_costs(n, strategy)
         assert worstcase._walk(rows) == (best, first)
         for model in CostModel:
             report = exhaustive_worst_case(n, strategy, model)
@@ -364,8 +364,7 @@ class TestExhaustiveWorstCase:
         # Landing rule p after the other rules of 0..m, placed in several
         # orders so that every branch of the core is taken, costs the core
         # rows[m][p] more than placing those m rules alone.
-        block = strategy == "block"
-        rows = worstcase._landing_costs(8, _position_finder(strategy))
+        rows = worstcase._landing_costs(8, strategy)
         assert [len(row) for row in rows] == list(range(1, 9))
         rng = random.Random(1)
         for m in range(8):
@@ -374,8 +373,8 @@ class TestExhaustiveWorstCase:
                 orders = [placed, placed[::-1]] + [rng.sample(placed, m) for _ in range(4)]
                 for prefix in orders:
                     alone = {x: x - (x > p) for x in prefix}  # ranked among themselves
-                    before = _learn_ranks(prefix, alone, block)[1] if m else 0
-                    after = _learn_ranks([*prefix, p], range(m + 1), block)[1]
+                    before = _learn_ranks(prefix, alone, strategy)[1] if m else 0
+                    after = _learn_ranks([*prefix, p], range(m + 1), strategy)[1]
                     assert after - before == rows[m][p], (m, p, prefix)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -386,7 +385,7 @@ class TestExhaustiveWorstCase:
             ("block", block_steps_exact(n) - (n - 1)),
             ("binary", binary_steps(n)),
         ):
-            rows = worstcase._landing_costs(n, _position_finder(strategy))
+            rows = worstcase._landing_costs(n, strategy)
             assert sum(map(max, rows)) == exhaustive_worst_case(n, strategy).max_steps
             assert sum(map(max, rows)) == closed_form
 
@@ -397,9 +396,9 @@ class TestExhaustiveWorstCase:
         # independent of the others, so the exact mean of one core run per
         # ground truth is the sum of the rows' means.
         identity = tuple(range(n))
-        counts = [_learn_ranks(identity, ranks, strategy == "block")[1]
+        counts = [_learn_ranks(identity, ranks, strategy)[1]
                   for ranks in itertools.permutations(identity)]
-        rows = worstcase._landing_costs(n, _position_finder(strategy))
+        rows = worstcase._landing_costs(n, strategy)
         assert Fraction(sum(counts), len(counts)) == sum(
             Fraction(sum(row), len(row)) for row in rows
         )
@@ -411,7 +410,7 @@ class TestExhaustiveWorstCase:
         # The sample mean at n = 27 (z = -2.2 for block, +1.9 for binary)
         # against the exact mean and variance from the landing table; a 2%
         # drift in the core's counts reads z of about 7 (block) or 41 (binary).
-        rows = worstcase._landing_costs(27, _position_finder(strategy))
+        rows = worstcase._landing_costs(27, strategy)
         means = [Fraction(sum(row), len(row)) for row in rows]
         variance = sum(
             Fraction(sum(x * x for x in row), len(row)) - mean**2
@@ -586,8 +585,8 @@ class TestAdversarialGroundTruth:
         # while it is wrapped; a wrong learner on either path is caught.
         truth = GroundTruthOrder((2, 0, 3, 1))
         for wrong in wrongs:
-            def wrong_core(rules, ranks, block, wrong=wrong):
-                learned, queries = _learn_ranks(rules, ranks, block)
+            def wrong_core(rules, ranks, name, wrong=wrong):
+                learned, queries = _learn_ranks(rules, ranks, name)
                 return wrong(learned), queries
 
             def wrong_learner(rules, oracle, strategy, wrong=wrong):

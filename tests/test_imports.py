@@ -216,3 +216,5 @@ def test_unknown_attribute_raises():
         ruleorder.no_such_name
     assert not hasattr(ruleorder, "block_steps_sum")
     assert not hasattr(ruleorder, "TableRow")
+    for name in ("block_insert", "binary_insert", "UnsortedSequenceError"):
+        assert not hasattr(ruleorder, name)

@@ -21,12 +21,10 @@ from ruleorder import (
     InvalidQueryError,
     InvalidRuleError,
     InvariantError,
-    UnsortedSequenceError,
-    binary_insert,
-    block_insert,
     learn_order,
     ordering,
     run_trial,
+    worstcase,
 )
 
 
@@ -300,90 +298,30 @@ class TestPrecedes:
         assert oracle.transcript == [(2, 0, False), (0, 2, True)]
 
 
-class TestBlockInsert:
-    def test_empty_sequence_costs_nothing(self):
-        oracle = oracle_for([0, 1, 2])
-        assert block_insert([], 1, oracle) == [1]
-        assert oracle.query_count == 0
-
-    def test_append_scans_everything(self):
-        # A=0 B=1 C=2: C is after both, so both positions are queried.
-        oracle = oracle_for([0, 1, 2])
-        assert block_insert([0, 1], 2, oracle) == [0, 1, 2]
-        assert oracle.query_count == 2
-
-    def test_front_insert_stops_at_first_yes(self):
-        # A precedes B, so C is never queried.
-        oracle = oracle_for([0, 1, 2])
-        assert block_insert([1, 2], 0, oracle) == [0, 1, 2]
-        assert oracle.query_count == 1
-
-    def test_middle_insert_costs_position_index(self):
-        oracle = oracle_for([0, 1, 2, 3])
-        assert block_insert([0, 1, 3], 2, oracle) == [0, 1, 2, 3]
-        assert oracle.query_count == 3
-
-    def test_does_not_mutate_input(self):
-        oracle = oracle_for([0, 1, 2])
-        seq = [0, 2]
-        block_insert(seq, 1, oracle)
-        assert seq == [0, 2]
-
-    def test_duplicate_rejected(self):
-        oracle = oracle_for([0, 1, 2])
-        with pytest.raises(DuplicateRuleError):
-            block_insert([0, 1], 1, oracle)
-
-    def test_out_of_universe_rejected(self):
-        oracle = oracle_for([0, 1, 2])
-        with pytest.raises(InvalidQueryError):
-            block_insert([0, 1], 5, oracle)
-
-    def test_unsorted_input_trips_debug_assertion(self):
-        oracle = oracle_for([0, 1, 2])
-        with pytest.raises(UnsortedSequenceError):
-            block_insert([1, 0], 2, oracle)
-
-
-class TestBinaryInsert:
-    def test_empty_sequence_costs_nothing(self):
-        oracle = oracle_for([0, 1, 2])
-        assert binary_insert([], 2, oracle) == [2]
-        assert oracle.query_count == 0
-
-    def test_middle_insert_hand_trace(self):
-        # probes C (mid=1) then A (mid=0): 2 queries = ceil(log2 3)
-        oracle = oracle_for([0, 1, 2], record=True)
-        assert binary_insert([0, 2], 1, oracle) == [0, 1, 2]
-        assert oracle.query_count == 2
-        assert oracle.transcript == [(1, 2, True), (1, 0, False)]
-
-    def test_append_hand_trace(self):
-        oracle = oracle_for([0, 1, 2])
-        assert binary_insert([0, 1], 2, oracle) == [0, 1, 2]
-        assert oracle.query_count == 1
-
-    def test_duplicate_rejected(self):
-        oracle = oracle_for([0, 1, 2])
-        with pytest.raises(DuplicateRuleError):
-            binary_insert([0, 1], 0, oracle)
-
-    def test_unsorted_input_trips_debug_assertion(self):
-        oracle = oracle_for([0, 1, 2])
-        with pytest.raises(UnsortedSequenceError):
-            binary_insert([2, 0], 1, oracle)
+class TestPerInsertionCosts:
+    # What a strategy's flat search asks to land a rule at p among m placed
+    # rules, read off the landing table its finder builds.
+    @pytest.mark.parametrize("m", range(1, 40))
+    def test_block_scans_to_the_landing_and_stops(self, m):
+        # One query per position up to and including the first accepting
+        # one; landing at the end asks every placed rule once.
+        row = worstcase._landing_costs(40, "block")[m]
+        assert list(row) == [min(p + 1, m) for p in range(m + 1)]
 
     @pytest.mark.parametrize("m", range(1, 40))
-    def test_query_cost_bounds_per_window_size(self, m):
-        # insert into m rules: between floor(log2(m+1)) and ceil(log2(m+1))
-        lower = (m + 1).bit_length() - 1
-        upper = m.bit_length()
-        for target in range(m + 1):
-            ranks = list(range(m + 1))
-            oracle = oracle_for(ranks)
-            seq = [r for r in range(m + 1) if r != target]
-            binary_insert(seq, target, oracle)
-            assert lower <= oracle.query_count <= upper
+    def test_binary_cost_bounds_per_window_size(self, m):
+        # Landing among m rules: between floor(log2(m+1)) and ceil(log2(m+1)).
+        row = worstcase._landing_costs(40, "binary")[m]
+        assert len(row) == m + 1
+        assert all((m + 1).bit_length() - 1 <= cost <= m.bit_length() for cost in row)
+
+    def test_binary_hand_trace(self):
+        # Rule 1 among [0, 2] probes 2 (mid = 1), then 0 (mid = 0): 2 queries,
+        # ceil(log2 3), after rule 2's one probe of 0.
+        oracle = oracle_for([0, 1, 2], record=True)
+        assert learn_order([0, 2, 1], oracle, "binary") == [0, 1, 2]
+        assert oracle.transcript == [(2, 0, False), (1, 2, True), (1, 0, False)]
+        assert oracle.query_count == 3
 
 
 class TestLearnOrder:
@@ -462,6 +400,13 @@ class TestLearnOrder:
         oracle = oracle_for([0, 1])
         with pytest.raises(InvalidQueryError):
             learn_order([0, 3], oracle, "block")
+
+    @pytest.mark.parametrize("strategy", ["block", "binary"])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_leaves_the_universe_unchanged(self, strategy, record):
+        universe = [2, 0, 1]
+        assert learn_order(universe, oracle_for([0, 1, 2], record), strategy) == [0, 1, 2]
+        assert universe == [2, 0, 1]
 
 
 class TestExhaustiveCorrectness:
@@ -702,7 +647,7 @@ def assert_core_matches_routes(order, universe, strategy):
     ranks = order.ranks
     if len(universe) < order.n:
         ranks = {x: i for i, x in enumerate(sorted(universe, key=ranks.__getitem__))}
-    learned, queries = ordering._learn_ranks(tuple(universe), ranks, strategy == "block")
+    learned, queries = ordering._learn_ranks(tuple(universe), ranks, strategy)
     for record in (False, True):  # the batched route, then the per-query one
         oracle = CountingOracle(order, record=record)
         assert learn_order(universe, oracle, strategy) == learned
@@ -734,10 +679,10 @@ class TestLearnRanksCore:
         rules = (2, 0, 1)
         oracle = oracle_for((2, 0, 1))
         expected = learn_order(rules, oracle, "binary")
-        assert ordering._learn_ranks(rules, (2, 0, 1), False) == (expected, oracle.query_count)
+        assert ordering._learn_ranks(rules, (2, 0, 1), "binary") == (expected, oracle.query_count)
         assert rules == (2, 0, 1)
         names = {"c": 1, "a": 2, "b": 0}
-        assert ordering._learn_ranks(("c", "a", "b"), names, True) == (["b", "c", "a"], 2)
+        assert ordering._learn_ranks(("c", "a", "b"), names, "block") == (["b", "c", "a"], 2)
 
 
 # ----------------------------------------------------------------------
@@ -1015,13 +960,6 @@ class TestRouteChoice:
             assert oracle.query_count > 0
             assert calls == (oracle.query_count if record else 0)
 
-    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
-    def test_plain_insert_asks_every_query(self, insert):
-        oracle = CountingOracle(self.order)
-        seq = [rule for rule in self.order.true_sequence() if rule != 5]
-        calls = _calls_to(CountingOracle.precedes, lambda: insert(seq, 5, oracle))
-        assert calls == oracle.query_count > 0
-
     @pytest.mark.parametrize("record", [False, True])
     def test_route_is_chosen_once_per_call(self, record, monkeypatch):
         monkeypatch.setattr(ordering, "_CHUNK", 2)
@@ -1093,29 +1031,6 @@ class TestReplacedPrecedes:
         self.assert_every_query_seen(oracle, tally)
 
 
-class TestInsertRoutes:
-    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
-    def test_plain_and_recording_oracles_charge_the_same(self, insert):
-        for m in range(12):
-            order = GroundTruthOrder.shuffled(m + 1, random.Random(m))
-            for x in range(m + 1):
-                seq = [r for r in order.true_sequence() if r != x]
-                plain, recording = CountingOracle(order), CountingOracle(order, record=True)
-                assert insert(seq, x, plain) == insert(seq, x, recording)
-                assert plain.query_count == recording.query_count == len(recording.transcript)
-
-    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
-    @pytest.mark.parametrize("record", [False, True])
-    @pytest.mark.parametrize("seq", [[1, -1], [0, 3], [-3]])
-    def test_rules_outside_universe_rejected(self, insert, record, seq):
-        # [1, -1] reads as sorted through negative indexing, and a scan that
-        # stops at rule 1 would never query -1; the check still rejects it.
-        oracle = oracle_for([0, 1, 2], record=record)
-        with pytest.raises(InvalidQueryError):
-            insert(seq, 0 if 0 not in seq else 2, oracle)
-        assert oracle.query_count == 0
-
-
 class TestNonIntegerRules:
     # Each once passed the range check and failed inside a learner with a
     # bare TypeError.
@@ -1125,10 +1040,8 @@ class TestNonIntegerRules:
         [
             lambda oracle: learn_order([0.5], oracle, "block"),
             lambda oracle: learn_order([0, 1.0], oracle, "binary"),
-            lambda oracle: block_insert([0], 1.5, oracle),
-            lambda oracle: binary_insert([], "a", oracle),
         ],
-        ids=["learn-0.5", "learn-1.0", "block_insert-1.5", "binary_insert-a"],
+        ids=["learn-0.5", "learn-1.0"],
     )
     def test_rejected_before_any_query(self, run, record):
         oracle = oracle_for([0, 1, 2], record=record)
@@ -1138,8 +1051,8 @@ class TestNonIntegerRules:
 
 
 class TestOneRuleContract:
-    """``precedes``, ``learn_order`` and both inserts accept exactly the same
-    rules, ints in [0, n), and charge nothing when they reject one."""
+    """``precedes`` and ``learn_order`` accept exactly the same rules, ints
+    in [0, n), and charge nothing when they reject one."""
 
     order = GroundTruthOrder((2, 0, 1))
     candidates = [0, 2, -1, 3, True, False, 0.0, 1.0, "a", None]
@@ -1153,12 +1066,6 @@ class TestOneRuleContract:
             "learn_order": lambda o: [
                 learn_order([other, rule], o, strategy) for strategy in ("block", "binary")
             ],
-            "block_insert": lambda o: (
-                block_insert([other], rule, o), block_insert([rule], other, o)
-            ),
-            "binary_insert": lambda o: (
-                binary_insert([other], rule, o), binary_insert([rule], other, o)
-            ),
         }
         accepted = {}
         for name, call in calls.items():
@@ -1178,16 +1085,9 @@ class TestOneRuleContract:
         valid = type(rule) is int and 0 <= rule < self.order.n
         assert self.outcomes(rule) == {
             (name, record): valid
-            for name in ("precedes", "learn_order", "block_insert", "binary_insert")
+            for name in ("precedes", "learn_order")
             for record in (False, True)
         }
-
-    @pytest.mark.parametrize("insert", [block_insert, binary_insert])
-    def test_rule_repeated_in_seq_is_a_duplicate(self, insert):
-        oracle = CountingOracle(self.order, record=True)
-        with pytest.raises(DuplicateRuleError):
-            insert([0, 0], 1, oracle)
-        assert oracle.query_count == 0
 
     def test_each_error_class_carries_both_meanings(self):
         assert issubclass(InvalidRuleError, InvalidQueryError)
@@ -1270,8 +1170,6 @@ class TestOneRuleContract:
             calls.update({
                 "GroundTruthOrder": lambda oracle: GroundTruthOrder(tuple(values)),
                 "learn_order": lambda oracle: learn_order(values, oracle, "block"),
-                "block_insert": lambda oracle: block_insert(values[1:], values[0], oracle),
-                "binary_insert": lambda oracle: binary_insert(values[1:], values[0], oracle),
             })
         messages = set()
         for name, call in calls.items():

@@ -34,6 +34,7 @@ in-process rows take several seconds at the default n.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import random
 import resource
@@ -69,6 +70,15 @@ def shuffled(n: int) -> list[int]:
     return ranks
 
 
+def strategy_arg(core, strategy: str):
+    """``strategy`` as ``core``, a tree's ``_learn_ranks``, takes it: the
+    name, or ``strategy == "block"`` where the core takes the bool
+    ``block``, as it did before it took the name."""
+    if core is not None and "block" in inspect.signature(core).parameters:
+        return strategy == "block"
+    return strategy
+
+
 def rows(ruleorder, n: int):
     """(label, setup or None) for every in-process row, in print order.
     ``setup()`` builds the layer's inputs and returns the call that runs
@@ -94,7 +104,7 @@ def rows(ruleorder, n: int):
             (f"learn_order {s}", lambda s=s, t=truth: partial(
                 ordering.learn_order, list(range(n)), ordering.CountingOracle(t(n)), s)),
             (f"_learn_ranks {s}", core and (lambda s=s, t=truth: partial(
-                core, list(range(n)), t(n).ranks, s == "block"))),
+                core, list(range(n)), t(n).ranks, strategy_arg(core, s)))),
             (f"run_trial {s}", lambda s=s, t=truth: partial(harness.run_trial, n, s, t(n))),
             (f"run_trial {s}, caller's 0..n-1", lambda s=s, t=truth: partial(
                 harness.run_trial, n, s, t(n), list(range(n)))),

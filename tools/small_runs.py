@@ -44,6 +44,7 @@ the rounds after it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import random
 import statistics
 import sys
@@ -80,6 +81,15 @@ def per_call_us(call, rounds: int, round_s: float) -> tuple[float, float]:
     return min(times), statistics.median(times)
 
 
+def strategy_arg(core, strategy: str):
+    """``strategy`` as ``core``, a tree's ``_learn_ranks``, takes it: the
+    name, or ``strategy == "block"`` where the core takes the bool
+    ``block``, as it did before it took the name."""
+    if core is not None and "block" in inspect.signature(core).parameters:
+        return strategy == "block"
+    return strategy
+
+
 def rows(ruleorder):
     """(label, call or None) for every row, in print order."""
     ordering, harness = ruleorder.ordering, ruleorder.harness
@@ -97,8 +107,8 @@ def rows(ruleorder):
             out.append((f"{'learn_order':<22} n={n:<3} {strategy}",
                         lambda p=presentation, o=oracle, s=strategy: ordering.learn_order(p, o, s)))
             out.append((f"{'_learn_ranks':<22} n={n:<3} {strategy}",
-                        core and (lambda p=presentation, r=truth.ranks, b=strategy == "block":
-                                  core(p, r, b))))
+                        core and (lambda p=presentation, r=truth.ranks,
+                                  a=strategy_arg(core, strategy): core(p, r, a))))
         out.append((f"{'_require_rules':<22} n={n}",
                     lambda p=presentation, n=n: ordering._require_rules(p, n)))
         out.append((f"{'_learned_in_rank_order':<22} n={n}",
@@ -116,12 +126,13 @@ def rows(ruleorder):
     n = ADVERSARIAL_N
     truth, presentation = harness.adversarial_ground_truth(n, "block")
     learned = truth.true_sequence()
+    block = strategy_arg(core, "block")
     out += [
         (f"{'adversarial_ground_truth':<24} n={n} block",
          lambda: harness.adversarial_ground_truth(n, "block")),
         (f"{'_require_rules':<24} n={n}", lambda: ordering._require_rules(presentation, n)),
         (f"{'_learn_ranks':<24} n={n} block",
-         core and (lambda: core(presentation, truth.ranks, True))),
+         core and (lambda: core(presentation, truth.ranks, block))),
         (f"{'_learned_in_rank_order':<24} n={n}",
          lambda: harness._learned_in_rank_order(learned, truth.ranks, presentation)),
         (f"adversarial_worst_case({n}, block)",
@@ -140,11 +151,12 @@ def large_rows(ordering, harness, core):
     learned = truth.true_sequence()
     presentation = learned[::-1]
     in_order = list(range(n))
+    binary = strategy_arg(core, "binary")
     return [
         (f"{'_require_rules':<24} n={n}",
          lambda: ordering._require_rules(presentation, n)),
         (f"{'_learn_ranks':<24} n={n} binary",
-         core and (lambda: core(presentation, truth.ranks, False))),
+         core and (lambda: core(presentation, truth.ranks, binary))),
         (f"{'_learned_in_rank_order':<24} n={n}",
          lambda: harness._learned_in_rank_order(learned, truth.ranks, in_order)),
         (f"run_trial({n}, binary, reversed)",
