@@ -22,6 +22,8 @@ import os
 import sys
 
 from .common import (
+    MODE_EXHAUSTIVE,
+    MODES,
     STRATEGIES,
     CostModel,
     IncorrectOrderError,
@@ -32,11 +34,6 @@ from .common import (
 )
 
 FORMATS = ("human", "csv", "json")
-
-# The --mode choices of worst-case: worstcase.MODE_EXHAUSTIVE and
-# worstcase.MODE_ADVERSARIAL, spelled out so building the parser does not
-# import it.
-WORST_CASE_MODES = ("exhaustive", "adversarial")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,7 +269,7 @@ def _cmd_worst_case(args) -> int:
 
     n = _positive_n(args)
     model = CostModel(args.cost_model)
-    if args.mode == harness.MODE_EXHAUSTIVE:
+    if args.mode == MODE_EXHAUSTIVE:
         report = harness.exhaustive_worst_case(n, args.strategy, model)
     else:
         report = harness.adversarial_worst_case(n, args.strategy, model)
@@ -344,7 +341,7 @@ def build_parser() -> _Parser:
 
     p_worst = sub.add_parser("worst-case", help="maximum step count for one n")
     add(p_worst, "--n", "--strategy")
-    p_worst.add_argument("--mode", choices=WORST_CASE_MODES, required=True)
+    p_worst.add_argument("--mode", choices=MODES, required=True)
     add(p_worst, "--cost-model", "--format").set_defaults(func=_cmd_worst_case)
 
     p_table = sub.add_parser("table", help="predictor comparison for n = 27 and 1000")

@@ -1,8 +1,8 @@
-"""What every command needs: strategy names, errors, cost models, checks.
+"""What every command needs: strategy and worst-case mode names, errors,
+cost models, checks.
 
 ``cli`` and ``complexity`` import these from here, so ``predict`` and
-``table`` never compile or run the learner in ``ordering``, which
-re-exports every name for its own import path.
+``table`` never compile or run the learner in ``ordering``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,10 @@ import enum
 STRATEGY_BLOCK = "block"
 STRATEGY_BINARY = "binary"
 STRATEGIES = (STRATEGY_BLOCK, STRATEGY_BINARY)
+
+MODE_EXHAUSTIVE = "exhaustive"
+MODE_ADVERSARIAL = "adversarial"
+MODES = (MODE_EXHAUSTIVE, MODE_ADVERSARIAL)
 
 
 class OrderingError(Exception):

@@ -85,12 +85,19 @@ def speedup(n: int) -> float:
 
 
 def learning_duration(steps: int, steps_per_day: float) -> float:
-    """Years needed to spend ``steps`` at a rate of ``steps_per_day``."""
+    """Years needed to spend ``steps`` at a rate of ``steps_per_day``: a
+    finite float, or ``ValueError`` where a float cannot hold it."""
     _require_int(steps, 0, "steps")
     rate = steps_per_day
     if type(rate) is bool or not isinstance(rate, (int, float)) or not rate > 0:
         raise ValueError(f"steps_per_day must be a positive number, got {_show(rate)}")
-    return steps / rate / DAYS_PER_YEAR
+    try:
+        years = steps / rate / DAYS_PER_YEAR
+    except OverflowError:  # an int quotient or an int operand past the float range
+        years = math.inf
+    if not math.isfinite(years):
+        raise ValueError(f"steps must give a finite number of years, got {_show(steps)}")
+    return years
 
 
 def scientific(value: int, digits: int = 6) -> str:

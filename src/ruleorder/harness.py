@@ -24,12 +24,9 @@ checks the learned list against the ground truth.  Calls share nothing
 but the exhaustive search's tables and can be executed in any order.
 
 The two worst-case drivers import ``worstcase`` on their first call
-(``_load_worstcase``), and the names this module answers for but does not
-define (``_LAZY``) load on first lookup (PEP 562), so ``learn`` loads
-neither ``worstcase``, with its dataclass, nor ``complexity``.  The drivers
-stay defined here: the benchmark's tracer wraps them by reading this
-module's ``__dict__``, which a name resolved on lookup is not in until it
-is first looked up.
+(``_load_worstcase``) and ``comparison_table`` imports ``complexity`` when
+called, so ``learn`` loads neither ``worstcase``, with its dataclass, nor
+``complexity``.
 """
 
 from __future__ import annotations
@@ -40,6 +37,8 @@ import math
 from collections import namedtuple
 
 from .common import (
+    MODE_ADVERSARIAL,
+    MODE_EXHAUSTIVE,
     STRATEGY_BLOCK,
     CostModel,
     IncorrectOrderError,
@@ -60,34 +59,10 @@ from .ordering import (
     learn_order,
 )
 
-# The names this module answers for that other modules define, by module.
-_LAZY = {
-    "EXHAUSTIVE_CAP_FIXED": "worstcase",
-    "MODE_ADVERSARIAL": "worstcase",
-    "MODE_EXHAUSTIVE": "worstcase",
-    "WorstCaseReport": "worstcase",
-    "TABLE_SIZES": "complexity",
-    "comparison_table": "complexity",
-}
-
 # Generator recorded in summaries so identical seeds are comparable across
 # runs: Mersenne Twister driving a Fisher-Yates shuffle.  ordering._shuffle
 # makes the draws random.Random.shuffle makes, so the stream is the same.
 RNG_ALGORITHM = "mt19937-fisher-yates"
-
-
-def __getattr__(name):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})
 
 
 # The worstcase module, once the first worst-case driver call has imported
@@ -285,7 +260,7 @@ def exhaustive_worst_case(
     return worstcase.WorstCaseReport(
         strategy=strategy,
         n=n,
-        mode=worstcase.MODE_EXHAUSTIVE,
+        mode=MODE_EXHAUSTIVE,
         cost_model=model.value,
         max_steps=model.steps(best, n),
         ground_truth_ranks=first,
@@ -349,7 +324,7 @@ def adversarial_worst_case(
     return worstcase.WorstCaseReport(
         strategy=strategy,
         n=n,
-        mode=worstcase.MODE_ADVERSARIAL,
+        mode=MODE_ADVERSARIAL,
         cost_model=model.value,
         max_steps=model.steps(queries, n),
         ground_truth_ranks=ranks,
@@ -413,3 +388,12 @@ def random_trials(
         mean_queries=math.fsum(counts) / len(counts),
         all_correct=all_correct,
     )
+
+
+def comparison_table():
+    """``complexity.comparison_table()``: the predictor reports for the
+    paper's showcase sizes.  ``complexity`` defines it; the benchmark in
+    ``perfbench/`` reads it from here."""
+    from . import complexity
+
+    return complexity.comparison_table()

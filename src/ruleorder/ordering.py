@@ -18,21 +18,16 @@ import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 
-# Defined in common, which every command loads; importable from here too.
-from .common import (  # noqa: F401  re-exported
+from .common import (
     STRATEGIES,
     STRATEGY_BINARY,
     STRATEGY_BLOCK,
-    CostModel,
+    CostModel,  # noqa: F401  unused here: perfbench/workloads.py imports it from here
     DuplicateRuleError,
     EmptyUniverseError,
-    IncorrectOrderError,
-    InvalidPermutationError,
     InvalidQueryError,
     InvalidRuleError,
     InvariantError,
-    OrderingError,
-    SizeLimitError,
     _require_int,
     _show,
 )

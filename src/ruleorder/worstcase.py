@@ -5,9 +5,8 @@ read off one table of landing costs (``_landing_costs``); ``_walk`` adds
 the first presentation that attains it, searching only worst landings.
 
 ``harness.exhaustive_worst_case`` and ``harness.adversarial_worst_case``
-import this module when they run, and ``harness`` resolves its public names
-on first lookup (PEP 562), so only ``worst-case`` loads it and, with its
-frozen dataclass, ``dataclasses``; ``learn`` loads ``harness`` alone.
+import this module when they run, so only ``worst-case`` loads it and, with
+its frozen dataclass, ``dataclasses``; ``learn`` loads ``harness`` alone.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from .ordering import CountingOracle, GroundTruthOrder, _position_finder
 # wrapper (``harness._learner``) learns each of the n! ground truths, and so
 # does the tests' cross-check of the search; this cap keeps those desk-scale.
 EXHAUSTIVE_CAP_FIXED = 8
-
-MODE_EXHAUSTIVE = "exhaustive"
-MODE_ADVERSARIAL = "adversarial"
 
 
 # A frozen dataclass, unlike the named-tuple records: the benchmark's

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_digits_by_decimal
-from ruleorder import cli, complexity, harness, scientific
+from ruleorder import cli, common, complexity, harness, scientific
 from ruleorder.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -491,8 +491,10 @@ class TestWorstCase:
             "--mode", "exhaustive",
         )
 
-    def test_mode_choices_match_harness(self):
-        assert cli.WORST_CASE_MODES == (harness.MODE_EXHAUSTIVE, harness.MODE_ADVERSARIAL)
+    def test_mode_choices_are_the_common_modes(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        mode = next(a for a in sub.choices["worst-case"]._actions if a.dest == "mode")
+        assert tuple(mode.choices) == common.MODES
 
     def test_wrong_adversarial_order_is_invariant_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(harness, "learn_order", lambda rules, *args: list(rules))

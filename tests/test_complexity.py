@@ -310,6 +310,17 @@ class TestHugeValuesInErrors:
             call()
         assert str(info.value) == f"{message}, got an int of 16610 bits"
 
+    @pytest.mark.parametrize(
+        "steps,rate,bits",
+        [(10**400, 2, 1329), (10**400, 2.0, 1329), (10**300, 1e-10, 997), (2**1023, 0.5, 1024)],
+    )
+    def test_years_past_the_float_range(self, steps, rate, bits):
+        with pytest.raises(ValueError) as info:
+            learning_duration(steps, rate)
+        assert str(info.value) == (
+            f"steps must give a finite number of years, got an int of {bits} bits"
+        )
+
     def test_long_value_is_cut_to_20_characters(self):
         with pytest.raises(ValueError) as info:
             scientific("9" * 5000)

@@ -124,11 +124,12 @@ def test_a_failed_command_loads_only_what_it_ran():
     assert not LEARNER & set(loaded)
 
 
-def test_harness_resolves_the_moved_names_on_first_lookup():
+def test_harness_loads_neither_worstcase_nor_complexity():
     loaded = set(run_fresh("from ruleorder import harness", LOADED))
     assert not loaded & {"ruleorder.worstcase", "ruleorder.complexity", *DATACLASSES}
-    loaded = set(run_fresh("from ruleorder.harness import WorstCaseReport", LOADED))
-    assert {"ruleorder.worstcase", "dataclasses"} <= loaded
+    loaded = set(run_fresh("from ruleorder import harness\nharness.comparison_table()", LOADED))
+    assert "ruleorder.complexity" in loaded
+    assert not loaded & {"ruleorder.worstcase", *DATACLASSES}
 
 
 def test_ordering_loads_neither_dataclasses_nor_typing():
@@ -170,26 +171,97 @@ def test_submodules_are_attributes():
     assert "complexity" not in vars(cli)
 
 
-def test_moved_names_keep_their_import_paths():
+def test_each_name_has_one_home():
     from ruleorder import common, complexity, harness, ordering, worstcase
 
     for name in ruleorder._EXPORTS["common"]:
-        assert getattr(ordering, name) is getattr(common, name) is getattr(ruleorder, name)
-    assert ordering._require_int is common._require_int
-    assert ordering._show is common._show
-    for name in ("WorstCaseReport", "EXHAUSTIVE_CAP_FIXED", "MODE_EXHAUSTIVE", "MODE_ADVERSARIAL"):
-        assert getattr(harness, name) is getattr(worstcase, name)
-        assert name in dir(harness)
-    assert ruleorder.WorstCaseReport is harness.WorstCaseReport
-    assert harness.comparison_table is complexity.comparison_table is ruleorder.comparison_table
-    assert harness.TABLE_SIZES is complexity.TABLE_SIZES
+        assert getattr(common, name) is getattr(ruleorder, name)
+    assert common.MODES == (common.MODE_EXHAUSTIVE, common.MODE_ADVERSARIAL)
+    assert ruleorder.WorstCaseReport is worstcase.WorstCaseReport
+    assert ruleorder.comparison_table is complexity.comparison_table
+    removed = {
+        harness: ("WorstCaseReport", "EXHAUSTIVE_CAP_FIXED", "TABLE_SIZES"),
+        worstcase: ("MODE_EXHAUSTIVE", "MODE_ADVERSARIAL"),
+        ordering: ("IncorrectOrderError", "InvalidPermutationError", "OrderingError",
+                   "SizeLimitError"),
+    }
+    for module, names in removed.items():
+        for name in names:
+            with pytest.raises(AttributeError, match=name):
+                getattr(module, name)
+    assert not {"__getattr__", "__dir__"} & vars(harness).keys()
+    # The two aliases left, which the benchmark in perfbench/ reads.
+    assert ordering.CostModel is common.CostModel
+    assert harness.comparison_table() == complexity.comparison_table()
     # The tracer of the benchmark wraps the drivers by reading harness's
-    # __dict__, so they are defined there, not resolved on lookup.
+    # __dict__, so they are defined there.
     for name in ("exhaustive_worst_case", "adversarial_worst_case"):
         assert vars(harness)[name] is getattr(ruleorder, name)
         assert vars(harness)[name].__module__ == "ruleorder.harness"
     with pytest.raises(AttributeError, match="no_such_name"):
         harness.no_such_name
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_reads():
+    """(module, name) for every name perfbench/*.py reads from ruleorder: each
+    ``from ruleorder... import X``, and each ``M.X`` where the same file binds
+    ``M`` by ``from ruleorder import M`` and by nothing else, so a local
+    ``cli = CliPredict()`` in a file that imports no ``cli`` is not read as
+    ``ruleorder.cli``."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        imported = {}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ruleorder":
+                for alias in node.names:
+                    reads.add((node.module, alias.name))
+                    if node.module == "ruleorder":
+                        imported[alias.asname or alias.name] = alias.name
+        stored = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in nodes:
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported.keys() - stored
+            ):
+                reads.add((f"ruleorder.{imported[node.value.id]}", node.attr))
+    return reads
+
+
+def test_the_frozen_benchmark_finds_every_name_it_reads():
+    reads = _perfbench_reads()
+    assert {("ruleorder.ordering", "CostModel"), ("ruleorder.harness", "comparison_table")} <= reads
+    missing = run_fresh(
+        f"reads = {sorted(reads)!r}\n"
+        "missing = []\n"
+        "for module, name in reads:\n"
+        "    try:\n"
+        "        exec(f'from {module} import {name}', {})\n"
+        "    except ImportError:\n"
+        "        missing.append((module, name))",
+        "missing",
+    )
+    assert missing == []
+    # The tracer wraps each target it reads out of its owner's __dict__.
+    untraceable = run_fresh(
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "import tracing\n"
+        "from ruleorder import ordering\n"
+        "targets = [(o, a) for o, a, _ in tracing._targets()]\n"
+        "targets.append((ordering.CountingOracle, 'precedes'))\n"
+        "untraceable = [(o.__name__, a) for o, a in targets if a not in vars(o)]",
+        "untraceable",
+    )
+    assert untraceable == []
+    # The benchmark's self-test changes a report with dataclasses.replace.
+    import dataclasses
+
+    report = ruleorder.adversarial_worst_case(5, "block")
+    assert dataclasses.is_dataclass(report) and not isinstance(report, type)
 
 
 @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])

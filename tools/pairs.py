@@ -18,17 +18,26 @@ sets them.
 
 It prints one table row per end-to-end metric of ``BENCHMARK.json``: the
 median [lower quartile, upper quartile] of each side's runs, the change of
-the medians, and the pairs the change won (strictly better, so equal counts
-win nothing), then the failed / attempted operations of each side.  A gain
-is resolved when the change wins at least nine pairs in ten and its median
-is better than the parent's by more than the parent's interquartile range.
+the medians, the pairs the change won (strictly better, so equal counts
+win nothing) and a verdict, then the failed / attempted operations of each
+side.  The verdict is the first of these that holds:
+
+- ``gain``: the change wins at least nine pairs in ten and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, a fraction of the parent's median;
+- ``unresolved``: the parent's interquartile range is wider than that
+  bound, so a change inside it cannot be told from noise, unless every
+  run of the change is better than every run of the parent;
+- ``no worse``: anything else.
 
 After the pairs it times ``SETUP_SPAWNS`` alternating spawns of
 ``perfbench/run.py --setup-only`` per side, each from start to exit, and
-prints their medians and wins under the table.  Each run's ``setup_s`` is
-the median of only a few such spawns, so a ``setup_s`` reading past its
-bound can be checked against these many spawns of the same two trees, made
-on the same host in the same minutes.
+prints their medians, wins and verdict (judged with ``setup_s``'s bound)
+under the table.  Each run's ``setup_s`` is the median of only a few such
+spawns, so a ``setup_s`` reading past its bound can be checked against
+these many spawns of the same two trees, made on the same host in the same
+minutes.
 
 Everything, with every run's metrics and every spawn's time, goes to
 ``BENCH_<workload>.json`` at the top of the checkout (``--out`` to change
@@ -56,7 +65,7 @@ SIDES = ("parent", "change")
 PAIRS = 10  # the fewest pairs a gain is judged on
 WIN_SHARE = 0.9  # a resolved gain wins at least this share of the pairs
 SETUP_SPAWNS = 20  # --setup-only spawns per side, timed after the pairs
-SETUP = {"name": "setup_s", "better": "lower"}
+SETUP = "setup_s"  # the end-to-end metric the --setup-only spawns are judged as
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -72,8 +81,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
 
     ``parent[i]`` and ``change[i]`` are the i-th pair's perfbench results
     (``{"metrics": {name: {"value": ...}}, ...}``); ``metrics`` are
-    BENCHMARK.json ``end_to_end`` entries, each with ``name`` and
-    ``better`` ("lower" or "higher").
+    BENCHMARK.json ``end_to_end`` entries, each with ``name``, ``better``
+    ("lower" or "higher") and ``bound``.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonzero run counts, got {len(parent)} and {len(change)}")
@@ -86,6 +95,15 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
         gap = qa[1] - qb[1]  # > 0: the change's median is lower
         wins = sum(sign * (x - y) > 0 for x, y in zip(a, b))
         spread = qa[2] - qa[0]
+        bound = metric["bound"] * abs(qa[1])  # in the metric's unit
+        if wins >= WIN_SHARE * len(a) and sign * gap > spread:
+            verdict = "gain"
+        elif -sign * gap > bound:
+            verdict = "worse"
+        elif spread > bound and not all(sign * (x - y) > 0 for x in a for y in b):
+            verdict = "unresolved"
+        else:
+            verdict = "no worse"
         rows.append({
             "metric": name,
             "better": metric["better"],
@@ -95,7 +113,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> li
             "wins": wins,
             "pairs": len(a),
             "parent_iqr": spread,
-            "gain": wins >= WIN_SHARE * len(a) and sign * gap > spread,
+            "verdict": verdict,
         })
     return rows
 
@@ -106,24 +124,25 @@ def _cell(q: dict) -> str:
 
 def table(workload: str, rows: list[dict], parent: list[dict], change: list[dict]) -> str:
     """The rows as the markdown table CHANGES.md quotes, with a header."""
-    lines = ["| workload | metric | parent | change | change | wins |",
-             "|---|---|---|---|---|---|"]
+    lines = ["| workload | metric | parent | change | change | wins | verdict |",
+             "|---|---|---|---|---|---|---|"]
     for row in rows:
         lines.append(f"| {workload} | {row['metric']} | {_cell(row['parent'])}"
                      f" | {_cell(row['change'])} | {row['change_frac']:+.1%}"
-                     f" | {row['wins']}/{row['pairs']} |")
+                     f" | {row['wins']}/{row['pairs']} | {row['verdict']} |")
     tallies = [f"{sum(r['failed'] for r in runs)} / {sum(r['attempted'] for r in runs)}"
                for runs in (parent, change)]
-    lines.append(f"| {workload} | failed / attempted | {tallies[0]} | {tallies[1]} | | |")
+    lines.append(f"| {workload} | failed / attempted | {tallies[0]} | {tallies[1]} | | | |")
     return "\n".join(lines)
 
 
-def setup_summary(parent: list[float], change: list[float]) -> dict:
+def setup_summary(parent: list[float], change: list[float], metric: dict) -> dict:
     """``summarize``'s row for the spawn-to-exit seconds of pairwise
-    ``--setup-only`` spawns, ``parent[i]`` against ``change[i]``."""
-    runs = [[{"metrics": {SETUP["name"]: {"value": t}}} for t in side]
+    ``--setup-only`` spawns, ``parent[i]`` against ``change[i]``, judged as
+    ``metric``, the BENCHMARK.json entry of ``setup_s``."""
+    runs = [[{"metrics": {metric["name"]: {"value": t}}} for t in side]
             for side in (parent, change)]
-    (row,) = summarize(*runs, [SETUP])
+    (row,) = summarize(*runs, [metric])
     return row
 
 
@@ -131,7 +150,7 @@ def setup_line(row: dict) -> str:
     """The spawns' summary as printed under the table."""
     return (f"--setup-only spawns ({row['pairs']} a side): parent {_cell(row['parent'])} s,"
             f" change {_cell(row['change'])} s, {row['change_frac']:+.1%},"
-            f" change faster in {row['wins']}/{row['pairs']}")
+            f" change faster in {row['wins']}/{row['pairs']}, {row['verdict']}")
 
 
 def _git(*args: str, cwd: Path) -> str:
@@ -212,13 +231,10 @@ def main(argv: list[str] | None = None) -> int:
             _git("worktree", "prune", cwd=top)
 
     rows = summarize(runs["parent"], runs["change"], spec["end_to_end"])
-    setup = setup_summary(spawns["parent"], spawns["change"])
+    setup = setup_summary(spawns["parent"], spawns["change"],
+                          next(m for m in spec["end_to_end"] if m["name"] == SETUP))
     print(table(args.workload, rows, runs["parent"], runs["change"]))
     print(setup_line(setup))
-    for row in rows:
-        if row["gain"]:
-            print(f"resolved gain: {row['metric']} ({row['wins']}/{row['pairs']} wins,"
-                  f" median gap beyond the parent's quartile spread)")
     out = args.out or top / f"BENCH_{args.workload}.json"
     record = {
         "workload": args.workload,

@@ -8,8 +8,8 @@ one run of the command loads, each with its own import time: the self
 time of its line under ``python -S -X importtime -c "import <module>"``,
 the fastest of five fresh runs per module.  Each module is timed on its
 own because ``-X importtime`` does not time a module loaded by ``from .
-import x`` or by a PEP 562 hook (``harness``'s lazy names), so a run of
-the command alone would charge those modules to the one that loaded them.
+import x`` or by the package's PEP 562 hook, so a run of the command alone
+would charge those modules to the one that loaded them.
 
 Run it from anywhere in a checkout (standard library only):
 
